@@ -3,7 +3,13 @@
 Prices ownership as a yearly-equivalent cost (capital plus maintenance),
 classifies the shape of that cost over holding age, and returns the exact
 optimal replacement time, cross-checked by an independent numerical search.
+
+The scalar path imports only the standard library.  The names of the array
+layers, ``cost_model`` and ``oracle``, are resolved on first use, and only
+then is numpy imported.
 """
+
+import importlib
 
 from .classifier import (
     CaseLabel,
@@ -16,17 +22,6 @@ from .classifier import (
     interior_minimum_age,
     slope_threshold,
 )
-from .cost_model import (
-    AssetParams,
-    CostSample,
-    capital_cost,
-    curve,
-    maintenance,
-    maintenance_cost,
-    property_cost,
-    property_cost_derivative,
-    salvage,
-)
 from .errors import NumericError
 from .finance_equiv import (
     CashFlowSeries,
@@ -37,12 +32,7 @@ from .finance_equiv import (
     present_value,
 )
 from .lambert_w import w0, w0_inverse, w0_series
-from .oracle import (
-    MinimizationReport,
-    brute_force_minimize,
-    check_against_search,
-    integrate_discounted_maintenance,
-)
+from .params import AssetParams
 
 __version__ = "0.1.0"
 
@@ -80,3 +70,38 @@ __all__ = [
     "w0_inverse",
     "w0_series",
 ]
+
+#: Public names of the numpy-backed layers, by defining submodule.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "CostSample",
+            "capital_cost",
+            "curve",
+            "maintenance",
+            "maintenance_cost",
+            "property_cost",
+            "property_cost_derivative",
+            "salvage",
+        ),
+        "cost_model",
+    ),
+    **dict.fromkeys(
+        (
+            "MinimizationReport",
+            "brute_force_minimize",
+            "check_against_search",
+            "integrate_discounted_maintenance",
+        ),
+        "oracle",
+    ),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -9,9 +9,19 @@ the four asset parameters.  Two derived quantities organize it:
 * ``acquisition_threshold`` -- the purchase price at which keeping the asset
   to its interior optimum costs exactly as much as replacing it immediately.
 
-``classify`` names the regime, ``economic_life`` additionally returns the
-minimizer set and the minimum yearly cost in closed form; the interior
-optimum is expressed through the Lambert W function.
+``economic_life`` runs the case analysis once and returns the regime, the
+minimizer set and the minimum yearly cost in closed form; ``classify`` is its
+regime alone.
+
+The interior optimum is the Lambert W closed form tau = 1 + c + W0(-e^(-1-c))
+in the scaled age tau = rate * age, with c the cost ratio.  Its argument lies
+(1 - e^(-c))/e above the branch point -1/e, so forming the argument in
+floating point rounds small cost ratios onto the branch point and cancels
+every digit of 1 + c + W0.  The closed form is therefore evaluated from the
+exact branch offset d = 1 + e z = -expm1(-c): the branch-point series of W0
+in p = sqrt(2 d), refined where it is not yet exact by Halley's method on
+gap(tau) = c, which is the W0 equation w e^w = z written in tau.  Everything
+here is scalar ``math``; numpy is imported only when ``gap`` gets an array.
 """
 
 from __future__ import annotations
@@ -20,11 +30,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .cost_model import AssetParams, property_cost
-from .lambert_w import w0
-from .numerics import expm1_minus
+from .errors import NumericError
+from .params import AssetParams
 
 __all__ = [
     "CaseLabel",
@@ -54,8 +61,10 @@ class CaseLabel(Enum):
 
     C2 and C3 require the maintenance slope to reach ``slope_threshold``
     while equal to (resp. below) depreciation_rate * interest_rate, which the
-    threshold itself rules out; they are retained for completeness but are
-    unreachable under exact comparison.
+    threshold itself rules out; they are kept for the paper's case table.
+    ``economic_life`` never returns C3, and C2 only within a positive
+    ``rel_tol`` band or where rate * junction is so large (beyond ~1e16)
+    that the threshold rounds onto depreciation_rate * interest_rate.
     """
 
     C1 = "C1"
@@ -125,23 +134,78 @@ def gap(tau):
 
     Its level sets locate the interior critical point of the ownership cost:
     the optimum age satisfies gap(rate * age) == cost_ratio.  Accepts scalars
-    or arrays.
+    or arrays; arrays are evaluated with numpy.
     """
+    if isinstance(tau, (int, float)):
+        if not tau >= 0.0:
+            raise ValueError("gap is defined for tau >= 0")
+        return tau * _gap_ratio(tau)
+    import numpy as np
+
+    from .numerics import expm1_minus
+
     arr = np.asarray(tau, dtype=float)
     if np.any(np.isnan(arr)) or np.any(arr < 0.0):
         raise ValueError("gap is defined for tau >= 0")
     return expm1_minus(-arr)
 
 
-def _cost_ratio(params: AssetParams) -> float:
-    r = params.interest_rate
-    return params.acquisition_cost * r * r / params.maint_slope
+# Below this the direct form 1 + expm1(-x)/x loses ~eps/x of its value to
+# cancellation; the series is exact to a few ulp instead.
+_GAP_SERIES_CUTOFF = 1e-3
 
 
-def _scaled_interior_age(params: AssetParams) -> float:
-    """rate * interior age, via the Lambert W closed form."""
-    c = _cost_ratio(params)
-    return 1.0 + c + w0(-math.exp(-1.0 - c))
+def _gap_ratio(x: float) -> float:
+    """gap(x) / x for x >= 0, in [0, 1].
+
+    Evaluated as a ratio rather than as gap(x) divided by x, so it neither
+    underflows where gap(x) ~ x^2/2 does nor rounds above 1 at large x.
+    """
+    if x < _GAP_SERIES_CUTOFF:
+        # (e^-x - 1 + x)/x = (x/2)(1 - x/3 + x^2/12 - x^3/60 + x^4/360 - ...)
+        return 0.5 * x * (1.0 + x * (-1.0 / 3.0 + x * (1.0 / 12.0 + x * (-1.0 / 60.0 + x / 360.0))))
+    return 1.0 + math.expm1(-x) / x
+
+
+# Below this p the branch-point series is exact to double precision: its first
+# omitted term, 221/8505 p^6, is under 3e-17 of tau ~ p.
+_BRANCH_SERIES_EXACT = 1e-3
+# From this cost ratio on W0's argument lies within e^-3 of 0, and
+# tau = 1 + c - e^(-1-c) + ... starts Halley closer than the series does.
+_LARGE_COST_RATIO = 2.0
+# Halley's error cubes per step, so after a relative step below this the
+# remaining error is far below rounding.
+_HALLEY_RTOL = 1e-7
+_HALLEY_MAX_ITER = 10
+
+
+def _scaled_interior_age(c: float) -> float:
+    """tau = 1 + c + W0(-e^(-1-c)), the root of gap(tau) = c, for c >= 0."""
+    if not 0.0 < c < math.inf:
+        return c  # gap(0) = 0; an infinite ratio has no finite optimum
+    if c < _LARGE_COST_RATIO:
+        # W0(-1/e + d/e) = -1 + p - p^2/3 + 11 p^3/72 - 43 p^4/540 + 769 p^5/17280 - ...
+        p = math.sqrt(-2.0 * math.expm1(-c))
+        tau = c + p * (
+            1.0
+            + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0 + p * (769.0 / 17280.0))))
+        )
+        if p < _BRANCH_SERIES_EXACT:
+            return tau
+    else:
+        tau = 1.0 + c
+    for _ in range(_HALLEY_MAX_ITER):
+        em = math.expm1(-tau)  # e^-tau - 1
+        f = (tau - c) + em  # gap(tau) - c
+        df = -em  # gap'(tau) = 1 - e^-tau; gap''(tau) = e^-tau = 1 + em
+        step = f * df / (df * df - 0.5 * f * (1.0 + em))
+        tau -= step
+        if abs(step) <= _HALLEY_RTOL * tau:
+            return tau
+    raise NumericError(
+        f"Halley iteration for the interior age at cost ratio {c!r} did not converge "
+        f"in {_HALLEY_MAX_ITER} steps"
+    )
 
 
 def interior_minimum_age(params: AssetParams) -> float:
@@ -152,7 +216,8 @@ def interior_minimum_age(params: AssetParams) -> float:
     the full-depreciation age) exactly when maint_slope < slope_threshold;
     the formula itself is total over valid parameters.
     """
-    return _scaled_interior_age(params) / params.interest_rate
+    r = params.interest_rate
+    return _scaled_interior_age(params.acquisition_cost * r * r / params.maint_slope) / r
 
 
 def slope_threshold(params: AssetParams) -> float:
@@ -160,11 +225,15 @@ def slope_threshold(params: AssetParams) -> float:
 
     For maint_slope below the threshold, the cost keeps falling past the
     full-depreciation age and turns back up at the interior optimum; at or
-    above it, the cost is increasing beyond the junction.  Always strictly
-    greater than depreciation_rate * interest_rate.
+    above it, the cost is increasing beyond the junction.  Equal to
+    depreciation_rate * interest_rate * x / gap(x) with x = rate * junction,
+    and never below depreciation_rate * interest_rate, also after rounding;
+    infinite when x underflows to 0.
     """
     r = params.interest_rate
-    return params.acquisition_cost * r * r / gap(r * params.junction)
+    ratio = _gap_ratio(r * params.junction)
+    speed = params.depreciation_rate * r
+    return speed / ratio if ratio > 0.0 else math.inf
 
 
 def acquisition_threshold(params: AssetParams) -> float:
@@ -197,72 +266,57 @@ def classify(params: AssetParams, rel_tol: float = 0.0) -> CaseLabel:
     widens equality detection, letting callers ask whether the parameters sit
     within a relative band of a knife-edge case (C2 or C4_2).
     """
-    a = params.maint_slope
-    depreciation_speed = params.depreciation_rate * params.interest_rate
-    a_threshold = slope_threshold(params)
-
-    if _relatively_close(a, depreciation_speed, rel_tol):
-        return CaseLabel.C2 if a >= a_threshold else CaseLabel.C5
-    if a > depreciation_speed:
-        if a >= a_threshold:
-            return CaseLabel.C1
-        A_threshold = acquisition_threshold(params)
-        if _relatively_close(params.acquisition_cost, A_threshold, rel_tol):
-            return CaseLabel.C4_2
-        if params.acquisition_cost > A_threshold:
-            return CaseLabel.C4_1
-        return CaseLabel.C4_3
-    return CaseLabel.C3 if a >= a_threshold else CaseLabel.C5
+    return economic_life(params, rel_tol).case
 
 
 def economic_life(params: AssetParams, rel_tol: float = 0.0) -> EconomicLifeResult:
-    """Global minimizers of the ownership cost and the minimum yearly cost.
+    """Regime, global minimizers and minimum yearly cost of the ownership cost.
 
     The minimum cost uses the closed forms
     ``(e^r - 1)(A r + b)/r`` at age zero and
-    ``(e^r - 1)/r^2 * (a + A r^2 + a W0(-e^(-1-c)))`` at the interior optimum,
-    rather than re-evaluating the piecewise cost.
+    ``(e^r - 1)/r^2 * (a + A r^2 + a W0(-e^(-1-c)))`` = ``(e^r - 1) a tau / r^2``
+    at the interior optimum, rather than re-evaluating the piecewise cost.
+    ``rel_tol`` is as for :func:`classify`.
     """
-    label = classify(params, rel_tol)
     A = params.acquisition_cost
     a = params.maint_slope
     b = params.depreciation_rate
     r = params.interest_rate
-    i_eff = math.expm1(r)
-
-    c = _cost_ratio(params)
+    speed = b * r
+    c = A * r * r / a
     a_threshold = slope_threshold(params)
-    interior_age = None
+    tau = interior_age = None
     if a < a_threshold:
-        interior_age = interior_minimum_age(params)
-    A_threshold = None
-    if a > b * r:
-        A_threshold = acquisition_threshold(params)
+        tau = _scaled_interior_age(c)
+        interior_age = tau / r
+    A_threshold = acquisition_threshold(params) if a > speed else None
 
+    i_eff = math.expm1(r)
     cost_at_zero = i_eff * (A * r + b) / r
-
-    def cost_at_interior() -> float:
-        # equals i_eff * a * (rate * interior age) / r^2
-        return i_eff * a * _scaled_interior_age(params) / (r * r)
-
-    if label in (CaseLabel.C1, CaseLabel.C4_1):
-        minimizers = MinimizerSet.point(0.0)
+    flat = _relatively_close(a, speed, rel_tol)
+    if tau is None:
+        # a >= slope_threshold >= speed: the cost rises beyond the junction.
+        # C3 would need a < speed here and cannot occur.
+        if flat:
+            case, minimizers = CaseLabel.C2, MinimizerSet.closed_interval(0.0, params.junction)
+        else:
+            case, minimizers = CaseLabel.C1, MinimizerSet.point(0.0)
         min_cost = cost_at_zero
-    elif label is CaseLabel.C2:
-        minimizers = MinimizerSet.closed_interval(0.0, params.junction)
+    elif flat or a < speed:
+        case, minimizers = CaseLabel.C5, MinimizerSet.point(interior_age)
+        min_cost = i_eff * a * tau / (r * r)
+    elif _relatively_close(A, A_threshold, rel_tol):
+        case, minimizers = CaseLabel.C4_2, MinimizerSet.pair(0.0, interior_age)
         min_cost = cost_at_zero
-    elif label is CaseLabel.C3:
-        minimizers = MinimizerSet.point(params.junction)
-        min_cost = property_cost(params, params.junction)
-    elif label is CaseLabel.C4_2:
-        minimizers = MinimizerSet.pair(0.0, interior_age)
+    elif A > A_threshold:
+        case, minimizers = CaseLabel.C4_1, MinimizerSet.point(0.0)
         min_cost = cost_at_zero
-    else:  # C4_3, C5
-        minimizers = MinimizerSet.point(interior_age)
-        min_cost = cost_at_interior()
+    else:
+        case, minimizers = CaseLabel.C4_3, MinimizerSet.point(interior_age)
+        min_cost = i_eff * a * tau / (r * r)
 
     return EconomicLifeResult(
-        case=label,
+        case=case,
         minimizers=minimizers,
         min_cost=min_cost,
         interior_minimum_age=interior_age,

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 from . import finance_equiv
 from .classifier import economic_life, interior_minimum_age
-from .cost_model import AssetParams, curve
 from .errors import NumericError
-from .oracle import check_against_search
+from .params import AssetParams
 
 __all__ = ["FleetRow", "ResultRow", "main"]
 
@@ -159,6 +158,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_against_search(params: AssetParams, result) -> str | None:
+    """The oracle's ``check_against_search``, imported when first called.
+
+    The oracle needs numpy, which ``classify`` and ``fleet`` without
+    ``--verify`` never load.
+    """
+    from .oracle import check_against_search as check
+
+    return check(params, result)
+
+
 def _params_from_args(args) -> AssetParams:
     return AssetParams(
         acquisition_cost=args.acquisition,
@@ -248,6 +258,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    from .cost_model import curve
+
     params = _params_from_args(args)
     t_max = args.t_max
     if t_max is None:

@@ -1,4 +1,5 @@
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from econlife import (
     property_cost,
     slope_threshold,
 )
+from econlife.cost_model import MAX_RATE_AGE
 
 
 def bisect_gap_level(level: float, tol: float = 1e-13) -> float:
@@ -202,3 +204,109 @@ def test_minimizer_set_validation():
     with pytest.raises(ValueError):
         MinimizerSet.point(-1.0)
     assert MinimizerSet.closed_interval(0.0, 5.0).values == (0.0, 5.0)
+
+
+def reference_gap(tau: float) -> Decimal:
+    """gap(tau) in 60-digit decimal arithmetic, by its series below 1/2."""
+    with localcontext(Context(prec=60)):
+        t = Decimal(tau)
+        if t > Decimal("0.5"):
+            return t - 1 + (-t).exp()
+        # sum_{k >= 2} (-t)^k / k!, free of the cancellation in t - 1 + e^-t
+        total, term, k = Decimal(0), -t, 1
+        while True:
+            k += 1
+            term = -term * t / k
+            total += term
+            if abs(term) <= abs(total) * Decimal("1e-45"):
+                return total
+
+
+def test_interior_age_gap_identity_at_every_cost_ratio():
+    # Near c = 0 the argument -e^(-1-c) of W0 rounds onto the branch point,
+    # which a closed form evaluated from that argument cannot survive.
+    worst = 0.0
+    for k in range(-3000, 31):
+        c = 10.0 ** (k / 10)
+        p = AssetParams(c, 1.0, 1.0, 1.0)  # cost ratio A r^2 / a == c exactly
+        tau = interior_minimum_age(p)
+        with localcontext(Context(prec=60)):
+            error = float(abs(reference_gap(tau) - Decimal(c)) / Decimal(c))
+        worst = max(worst, error)
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "params",
+    [AssetParams(1.0, 1e12, 1e8, 0.01), AssetParams(1.0, 1e8, 1e8, 0.01)],
+)
+def test_min_cost_near_the_branch_point(params):
+    # cost ratios 1e-16 and 1e-12: the optimum sits just past a tiny
+    # full-depreciation age, at rate * age ~ sqrt(2 c)
+    result = economic_life(params)
+    (t,) = result.minimizers.values
+    c = result.cost_ratio
+    assert t == pytest.approx(math.sqrt(2.0 * c) / params.interest_rate, rel=1e-5)
+    assert t > params.junction
+    assert result.min_cost == pytest.approx(property_cost(params, t), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        AssetParams(1e-300, 1.0, 1.0, 1.0),
+        AssetParams(1e-200, 1.0, 1.0, 0.5),
+        AssetParams(5e-324, 1.0, 1.0, 1.0),
+    ],
+)
+def test_slope_threshold_at_vanishing_full_depreciation_age(params):
+    # gap(rate * junction) underflows to 0 here; the threshold must not
+    # divide by it
+    threshold = slope_threshold(params)
+    assert threshold > params.depreciation_rate * params.interest_rate
+    result = economic_life(params)
+    assert result.case in (CaseLabel.C4_3, CaseLabel.C5)
+    (t,) = result.minimizers.values
+    assert t > params.junction and math.isfinite(result.min_cost)
+
+
+def test_slope_threshold_never_rounds_below_depreciation_speed():
+    for k in range(-300, 301, 3):
+        p = AssetParams(1.0, 1.0, 2.0 * 10.0 ** -k, 0.5)  # rate * junction == 10^k
+        assert slope_threshold(p) >= p.depreciation_rate * p.interest_rate
+    # At rate * junction ~ 8e17 the quotient A r^2 / gap(x) rounds one ulp
+    # below b r, which would make C3 reachable.
+    A, b, r = 7771.686176112378, 1.5080063814474131e-15, 0.15727637211017295
+    base = AssetParams(A, 1.0, b, r)
+    a = 0.5 * (slope_threshold(base) + b * r)
+    p = AssetParams(A, a, b, r)
+    assert slope_threshold(p) >= b * r
+    result = economic_life(p)
+    assert result.case is not CaseLabel.C3 and classify(p) is result.case
+    assert result.min_cost == pytest.approx(property_cost(p, 0.0), rel=1e-12)
+
+
+def draw_wide_params(rng: np.random.Generator) -> AssetParams:
+    """draw_params's price and rate, with the cost ratio log-uniform in
+    [1e-20, 1e2] and the full-depreciation age log-uniform in [1e-12, 50] y."""
+    base = draw_params(rng)
+    A, r = base.acquisition_cost, base.interest_rate
+    c = 10.0 ** rng.uniform(-20.0, 2.0)
+    junction = 10.0 ** rng.uniform(-12.0, math.log10(50.0))
+    return AssetParams(A, A * r * r / c, A / junction, r)
+
+
+@pytest.mark.parametrize("draw", [draw_params, draw_wide_params])
+def test_every_result_obeys_its_invariants(draw):
+    rng = np.random.default_rng(20261018)
+    for _ in range(2000):
+        p = draw(rng)
+        result = economic_life(p)
+        for t in result.minimizers.values:
+            if t > 0.0 and t == result.interior_minimum_age:
+                assert t > p.junction, p
+            # property_cost refuses rate * age beyond its overflow guard;
+            # minimizers out there cannot be evaluated yet.
+            if p.interest_rate * t > MAX_RATE_AGE:
+                continue
+            assert result.min_cost == pytest.approx(property_cost(p, t), rel=1e-12), p

@@ -108,6 +108,16 @@ def test_classify_invalid_value_exits_1(capsys):
     assert "acquisition_cost" in err
 
 
+def test_classify_vanishing_full_depreciation_age(capsys):
+    # gap(rate * junction) underflows to 0 for this asset
+    code, out, err = run_cli(
+        capsys, "classify", "--acquisition", "1e-200", "--maint-slope", "1",
+        "--depreciation", "1", "--rate", "0.5",
+    )
+    assert code == 0 and err == ""
+    assert out.startswith("case: C4_3\nminimizers: t = 1.41421356237e-100\n")
+
+
 def test_curve_small_golden(capsys):
     code, out, _ = run_cli(capsys, "curve", *C4_3_FLAGS, "--t-max", "10", "--step", "2.5")
     assert code == 0
@@ -140,6 +150,16 @@ def test_fleet_golden(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "fleet", "--input", str(path))
     assert code == 0
     assert out == FLEET_OUTPUT
+
+
+def test_fleet_row_with_vanishing_full_depreciation_age(tmp_path, capsys):
+    # gap(rate * junction) underflows to 0 for the added row; it still gets a
+    # result, and the other rows are unchanged
+    path = tmp_path / "fleet.csv"
+    path.write_text(FLEET_INPUT + "x,1e-300,1,1,1\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "fleet", "--input", str(path))
+    assert code == 0
+    assert out == FLEET_OUTPUT + "x,C5,1.41421356237e-150,1.41421356237e-150,,2.43001746579e-150,\n"
 
 
 def test_fleet_output_file_and_round_trip(tmp_path, capsys):
