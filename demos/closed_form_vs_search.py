@@ -1,8 +1,8 @@
 """Cross-validate the closed-form economic life against blind search.
 
 The classification returns minimizers in closed form without ever scanning
-the cost curve.  As an independent check, a grid scan with golden-section
-and quadratic-fit refinement locates the same minimizers using nothing but
+the cost curve.  As an independent check, a single grid scan with zoom and
+quadratic-fit refinement locates the same minimizers using nothing but
 value comparisons.  This script runs both paths side by side, including a
 deliberately nasty knife-edge instance whose cost is flat to within double
 precision over a wide range, where the only honest answer of a value-based

@@ -182,7 +182,12 @@ _HALLEY_MAX_ITER = 10
 def _scaled_interior_age(c: float) -> float:
     """tau = 1 + c + W0(-e^(-1-c)), the root of gap(tau) = c, for c >= 0."""
     if not 0.0 < c < math.inf:
-        return c  # gap(0) = 0; an infinite ratio has no finite optimum
+        if c > 0.0:
+            raise ValueError(
+                "cost ratio A*r^2/a = acquisition_cost * interest_rate**2 / maint_slope "
+                "overflows the float range"
+            )
+        return c  # gap(0) = 0
     if c < _LARGE_COST_RATIO:
         # W0(-1/e + d/e) = -1 + p - p^2/3 + 11 p^3/72 - 43 p^4/540 + 769 p^5/17280 - ...
         p = math.sqrt(-2.0 * math.expm1(-c))
@@ -236,21 +241,32 @@ def slope_threshold(params: AssetParams) -> float:
     return speed / ratio if ratio > 0.0 else math.inf
 
 
+# Below this ratio q = b r / a, -log1p(-q) - q cancels to ~2 eps/q of its
+# value and, once q^2/2 underflows, rounds below zero; the series to q^10/10
+# is exact to a few ulp there.
+_LOG_SERIES_CUTOFF = 0.02
+
+
 def acquisition_threshold(params: AssetParams) -> float:
     """Purchase price at which immediate replacement ties the interior optimum.
 
+    Equal to (a/r^2) (-log1p(-q) - q) with q = b r / a, which is positive.
     Defined only when maint_slope > depreciation_rate * interest_rate (below
     that the comparison never arises); diverges as the two approach.
     """
     a = params.maint_slope
     b = params.depreciation_rate
     r = params.interest_rate
-    ratio = b * r / a
-    if ratio >= 1.0:
+    q = b * r / a
+    if q >= 1.0:
         raise ValueError(
             "acquisition_threshold requires maint_slope > depreciation_rate * interest_rate"
         )
-    return -(a / (r * r)) * math.log1p(-ratio) - b / r
+    if q < _LOG_SERIES_CUTOFF:
+        # -log1p(-q) - q = q^2/2 + q^3/3 + ..., and (a/r^2) q^2 = (b/r) q
+        tail = 1.0 / 6.0 + q * (1.0 / 7.0 + q * (1.0 / 8.0 + q * (1.0 / 9.0 + q / 10.0)))
+        return (b / r) * q * (0.5 + q * (1.0 / 3.0 + q * (0.25 + q * (0.2 + q * tail))))
+    return -(a / (r * r)) * math.log1p(-q) - b / r
 
 
 def _relatively_close(x: float, y: float, rel_tol: float) -> bool:

@@ -13,10 +13,12 @@ def expm1_minus(x):
     Accepts scalars or numpy arrays and preserves the input shape.
     """
     x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
     with np.errstate(invalid="ignore"):
-        direct = np.expm1(x) - x
-    x2 = x * x
+        np.subtract(np.expm1(x), x, out=out)
+    small = np.abs(x) < _SERIES_CUTOFF
+    s = x[small]
+    s2 = s * s
     # e^x - 1 - x = (x^2/2) (1 + x/3 + x^2/12 + x^3/60 + x^4/360 + ...)
-    series = 0.5 * x2 * (1.0 + x / 3.0 + x2 / 12.0 + x2 * x / 60.0 + x2 * x2 / 360.0)
-    out = np.where(np.abs(x) < _SERIES_CUTOFF, series, direct)
+    out[small] = 0.5 * s2 * (1.0 + s / 3.0 + s2 / 12.0 + s2 * s / 60.0 + s2 * s2 / 360.0)
     return float(out[()]) if out.ndim == 0 else out

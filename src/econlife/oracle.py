@@ -2,10 +2,10 @@
 
 Two derivative-free tools, deliberately ignorant of the classification
 machinery: adaptive quadrature for the discounted-maintenance integral, and
-a grid scan plus golden-section / quadratic-fit refinement that locates the
-global minimizers of the ownership cost by value comparison alone.  Tests and
-the fleet ``--verify`` mode use these to cross-check the closed-form path;
-nothing here is consulted by that path.
+a single grid scan plus batched zoom / quadratic-fit refinement that locates
+the global minimizers of the ownership cost by value comparison alone.
+Tests and the fleet ``--verify`` mode use these to cross-check the
+closed-form path; nothing here is consulted by that path.
 """
 
 from __future__ import annotations
@@ -29,10 +29,13 @@ __all__ = [
 TIE_RTOL = 1e-12
 #: A run of at least this many tied grid points is reported as a plateau.
 PLATEAU_MIN_POINTS = 3
-_GOLDEN_WIDTH = 1e-10
 _MAX_QUAD_DEPTH = 60
-_CHUNK = 1 << 20
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Grid points per cost evaluation of the scan: the chunk's temporaries stay
+# in a per-core cache, where a point costs about half what it does at 2^20.
+_CHUNK = 1 << 16
+# Each zoom grid narrows a bracket 32-fold, down to this width.
+_ZOOM_POINTS = 65
+_ZOOM_WIDTH = 1e-10
 
 
 @dataclass(frozen=True)
@@ -102,13 +105,14 @@ def _adaptive_simpson(f, lo, hi, f_lo, f_mid, f_hi, whole, tol, depth):
 def brute_force_minimize(params: AssetParams, t_max: float, step: float) -> MinimizationReport:
     """Locate all global minimizers of the ownership cost on [0, t_max].
 
-    Scans the grid 0, step, ..., t_max, refines every candidate basin (grid
-    local minima and the left boundary) by golden-section search to width
-    1e-10 followed by shrinking quadratic fits, and keeps the basins whose
-    refined values tie the best one within ``TIE_RTOL``.  Runs of >= 3 grid
-    points value-tied with the minimum are reported as a plateau: there the
-    cost is flat at rounding level and no value comparison can single out a
-    point.  Uses only value comparisons of ``property_cost``.
+    Scans the grid 0, step, ..., t_max once, refines all candidate basins
+    (grid local minima and the left boundary) together, by repeated 65-point
+    zooms of their brackets to width 1e-10 followed by shrinking quadratic
+    fits, and keeps the basins whose refined values tie the best one within
+    ``TIE_RTOL``.  Runs of >= 3 grid points value-tied with the minimum are
+    reported as a plateau: there the cost is flat at rounding level and no
+    value comparison can single out a point.  Uses only value comparisons of
+    ``property_cost``.
     """
     if not step > 0.0:
         raise ValueError("step must be > 0")
@@ -117,12 +121,9 @@ def brute_force_minimize(params: AssetParams, t_max: float, step: float) -> Mini
         raise ValueError(f"scan horizon t_max must be >= {floor:g} for these parameters")
     n = int(math.floor(t_max / step + 1e-9))
 
-    def h(age: float) -> float:
-        return property_cost(params, age)
-
-    h_min, argmin_index, basin_indices = _grid_scan(params, n, step)
+    h_min, argmin_index, h_zero, basin_indices, chunks = _grid_scan(params, n, step, _CHUNK)
     threshold = h_min + TIE_RTOL * abs(h_min)
-    runs = _tied_runs(params, n, step, threshold)
+    runs = _tied_runs(params, step, chunks, threshold)
 
     plateau = None
     plateau_runs = [run for run in runs if run[1] - run[0] + 1 >= PLATEAU_MIN_POINTS]
@@ -130,26 +131,22 @@ def brute_force_minimize(params: AssetParams, t_max: float, step: float) -> Mini
         widest = max(plateau_runs, key=lambda run: run[1] - run[0])
         plateau = (widest[0] * step, widest[1] * step)
 
-    refined: list[tuple[float, float]] = []
-    refinements = 0
-    for index in sorted(set(basin_indices) | {argmin_index}):
-        bracket_lo = max(index - 1, 0) * step
-        bracket_hi = min(index + 1, n) * step
-        location, value = _golden_section(h, bracket_lo, bracket_hi, _GOLDEN_WIDTH)
-        refinements += 1
-        location, value = _quadratic_polish(h, location, value, step)
-        if index <= 1:
-            h_zero = h(0.0)
-            if h_zero <= value:
-                location, value = 0.0, h_zero
-        refined.append((location, value))
+    indices = np.array(sorted(set(basin_indices) | {argmin_index}))
+    locations, values = _zoom(
+        params, np.maximum(indices - 1, 0) * step, np.minimum(indices + 1, n) * step
+    )
+    locations, values = _polish(params, locations, values, step)
+    # The first two brackets reach down to age 0, whose cost the grid holds.
+    at_zero = (indices <= 1) & (h_zero <= values)
+    locations[at_zero] = 0.0
+    values[at_zero] = h_zero
+    refined = sorted(zip(locations.tolist(), values.tolist()))
 
-    best_value = min([value for _, value in refined], default=h_min)
-    best_value = min(best_value, h_min)
+    best_value = min(float(values.min()), h_min)
     tie_band = best_value + TIE_RTOL * abs(best_value)
 
     points: list[float] = []
-    for location, value in sorted(refined):
+    for location, value in refined:
         if value > tie_band:
             continue
         if plateau is not None and plateau[0] - step <= location <= plateau[1] + step:
@@ -165,7 +162,7 @@ def brute_force_minimize(params: AssetParams, t_max: float, step: float) -> Mini
         plateau=plateau,
         min_value=best_value,
         grid_step=step,
-        refinements=refinements,
+        refinements=len(refined),
     )
 
 
@@ -175,26 +172,30 @@ def brute_force_minimize(params: AssetParams, t_max: float, step: float) -> Mini
 _MAX_BASINS = 16
 
 
-def _grid_scan(params, n, step, chunk=_CHUNK):
-    """Grid minimum plus candidate basin indices (strict local minima)."""
+def _grid_scan(params, n, step, chunk):
+    """One pass over the grid indices 0..n, ``chunk`` indices at a time.
+
+    Returns the grid minimum, its index, the cost at age 0, the candidate
+    basin indices (strict local minima, and each end where the cost does not
+    rise towards it) and the (lo, hi, low, high) of each chunk: its index
+    range [lo, hi) and its least and greatest value.
+    """
     h_min = math.inf
     argmin_index = 0
     candidates: list[tuple[float, int]] = []
+    chunks: list[tuple[int, int, float, float]] = []
     carry = np.empty(0)
-    first_value = None
-    second_value = None
     for lo in range(0, n + 1, chunk):
         hi = min(lo + chunk, n + 1)
-        ages = np.arange(lo, hi, dtype=float) * step
-        values = property_cost(params, ages)
+        values = property_cost(params, np.arange(lo, hi, dtype=float) * step)
         i = int(np.argmin(values))
         if values[i] < h_min:
             h_min = float(values[i])
             argmin_index = lo + i
-        if first_value is None:
-            first_value = float(values[0])
-            if len(values) > 1:
-                second_value = float(values[1])
+        if lo == 0:
+            h_zero = float(values[0])
+            left_basin = len(values) < 2 or values[0] <= values[1]
+        chunks.append((lo, hi, float(values[i]), float(values.max())))
         extended = np.concatenate([carry, values])
         interior = extended[1:-1]
         strict = np.flatnonzero((interior < extended[:-2]) & (interior < extended[2:]))
@@ -202,88 +203,97 @@ def _grid_scan(params, n, step, chunk=_CHUNK):
             index = lo - len(carry) + int(j) + 1
             candidates.append((float(extended[int(j) + 1]), index))
         candidates = sorted(candidates)[:_MAX_BASINS]
-        carry = extended[-2:] if len(extended) >= 2 else extended
+        carry = extended[-2:]
     basins = [index for _, index in candidates]
-    if second_value is None or first_value <= second_value:
+    if left_basin:
         basins.append(0)
     if n >= 1 and carry.size == 2 and carry[1] <= carry[0]:
         basins.append(n)
-    return h_min, argmin_index, basins
+    return h_min, argmin_index, h_zero, basins, chunks
 
 
-def _tied_runs(params, n, step, threshold, chunk=_CHUNK):
-    """Inclusive (start, end) index runs where the grid ties the minimum."""
+def _tied_runs(params, step, chunks, threshold):
+    """Inclusive (start, end) index runs where the grid ties the minimum.
+
+    Only a chunk whose value range straddles ``threshold`` is evaluated
+    again: one wholly above it ends any open run, and one wholly at or below
+    it extends the open run or starts one.
+    """
     runs: list[tuple[int, int]] = []
-    open_start = None
-    previous_tied = False
-    for lo in range(0, n + 1, chunk):
-        hi = min(lo + chunk, n + 1)
-        ages = np.arange(lo, hi, dtype=float) * step
-        tied = property_cost(params, ages) <= threshold
-        transitions = np.diff(np.concatenate(([previous_tied], tied)).astype(np.int8))
-        starts = [lo + int(j) for j in np.flatnonzero(transitions == 1)]
-        ends = [lo + int(j) - 1 for j in np.flatnonzero(transitions == -1)]
-        # Transitions alternate, so each end pairs the carried-over run first
-        # and then the chunk's own starts in order.
-        for end in ends:
-            if open_start is not None:
-                runs.append((open_start, end))
-                open_start = None
+    start = None
+    for lo, hi, low, high in chunks:
+        if low > threshold:
+            flips = [] if start is None else [lo]
+        elif high <= threshold:
+            flips = [lo] if start is None else []
+        else:
+            tied = property_cost(params, np.arange(lo, hi, dtype=float) * step) <= threshold
+            before = np.concatenate(([start is not None], tied[:-1]))
+            flips = (lo + np.flatnonzero(tied != before)).tolist()
+        # Flips alternate: each one starts a run or ends the open one.
+        for flip in flips:
+            if start is None:
+                start = flip
             else:
-                runs.append((starts.pop(0), end))
-        if starts:
-            open_start = starts.pop(0)
-        previous_tied = bool(tied[-1])
-    if open_start is not None:
-        runs.append((open_start, n))
+                runs.append((start, flip - 1))
+                start = None
+    if start is not None:
+        runs.append((start, chunks[-1][1] - 1))
     return runs
 
 
-def _golden_section(f, lo, hi, width):
-    span = hi - lo
-    c = hi - _INVPHI * span
-    d = lo + _INVPHI * span
-    f_c, f_d = f(c), f(d)
-    while hi - lo > width:
-        if f_c < f_d:
-            hi, d, f_d = d, c, f_c
-            c = hi - _INVPHI * (hi - lo)
-            f_c = f(c)
-        else:
-            lo, c, f_c = c, d, f_d
-            d = lo + _INVPHI * (hi - lo)
-            f_d = f(d)
-    return (c, f_c) if f_c <= f_d else (d, f_d)
+def _zoom(params, lo, hi):
+    """Best grid point and value in each bracket [lo[k], hi[k]].
+
+    Every level lays a ``_ZOOM_POINTS`` grid over each bracket, in one cost
+    evaluation for all of them, and narrows the bracket to the two spacings
+    around its best point, 1/32 of its width, until all are at most
+    ``_ZOOM_WIDTH`` wide.
+    """
+    fractions = np.linspace(0.0, 1.0, _ZOOM_POINTS)
+    rows = np.arange(len(lo))
+    widest = max(float((hi - lo).max()), _ZOOM_WIDTH)
+    levels = max(1, math.ceil(math.log(widest / _ZOOM_WIDTH, (_ZOOM_POINTS - 1) / 2)))
+    for _ in range(levels):
+        ages = lo[:, None] + (hi - lo)[:, None] * fractions
+        values = property_cost(params, ages.ravel()).reshape(ages.shape)
+        best = np.argmin(values, axis=1)
+        lo = ages[rows, np.maximum(best - 1, 0)]
+        hi = ages[rows, np.minimum(best + 1, _ZOOM_POINTS - 1)]
+    return ages[rows, best], values[rows, best]
 
 
-def _quadratic_polish(f, v, f_v, span, levels=12):
-    """Sharpen a minimizer location with shrinking three-point parabola fits.
+def _polish(params, v, best, span, levels=12):
+    """Sharpen minimizer locations with shrinking three-point parabola fits.
 
     Comparison-based search cannot localize a smooth minimum better than the
     sqrt(eps)-wide band where values tie at rounding level; a parabola fitted
     at half-width d instead pins the vertex to ~(noise/curvature)/d, so
     marching d downward until the curvature signal drowns in rounding noise
-    gains several orders of magnitude in location accuracy.
+    gains several orders of magnitude in location accuracy.  Each level
+    evaluates v - d, v and v + d of every basin still being fitted in one
+    call; ``best`` collects the least value seen per basin.
     """
-    best_value = f_v
-    d = span
+    v, best = v.copy(), best.copy()
+    d = np.full(len(v), float(span))
+    fitting = np.arange(len(v))
     for _ in range(levels):
-        d = min(d, v)  # keep the left sample at a valid age
-        if d <= 0.0:
+        if fitting.size == 0:
             break
-        f_lo = f(v - d)
-        f_hi = f(v + d)
-        best_value = min(best_value, f_lo, f_hi)
+        d[fitting] = np.minimum(d[fitting], v[fitting])  # keep v - d a valid age
+        dk, vk = d[fitting], v[fitting]
+        ages = np.concatenate([vk - dk, vk, vk + dk])
+        f_lo, f_v, f_hi = property_cost(params, ages).reshape(3, -1)
+        best[fitting] = np.minimum(np.minimum(best[fitting], f_v), np.minimum(f_lo, f_hi))
         curvature = (f_lo - f_v) + (f_hi - f_v)
-        if not curvature > 64.0 * np.finfo(float).eps * abs(f_v):
-            break
-        shift = 0.5 * d * (f_lo - f_hi) / curvature
-        shift = max(-d, min(d, shift))
-        v = v + shift
-        f_v = f(v)
-        best_value = min(best_value, f_v)
-        d /= 8.0
-    return v, best_value
+        fits = (dk > 0.0) & (curvature > 64.0 * np.finfo(float).eps * np.abs(f_v))
+        shift = 0.5 * dk[fits] * (f_lo - f_hi)[fits] / curvature[fits]
+        fitting = fitting[fits]
+        v[fitting] += np.clip(shift, -d[fitting], d[fitting])
+        d[fitting] /= 8.0
+    if fitting.size:
+        best[fitting] = np.minimum(best[fitting], property_cost(params, v[fitting]))
+    return v, best
 
 
 def check_against_search(

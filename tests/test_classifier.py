@@ -115,6 +115,58 @@ def test_acquisition_threshold_diverges_near_flat_line():
     assert thresholds[2] > 25.0 * (b / r)
 
 
+def reference_log_tail(q: Decimal) -> Decimal:
+    """-ln(1 - q) - q, summed as q^2/2 + q^3/3 + ... where that cancels."""
+    if q > Decimal("0.5"):
+        return -(1 - q).ln() - q
+    total, power, k = Decimal(0), q, 1
+    while True:
+        k += 1
+        power *= q
+        term = power / k
+        total += term
+        if term <= total * Decimal("1e-45"):
+            return total
+
+
+def test_acquisition_threshold_matches_60_digits_at_every_ratio():
+    # q = b r / a from 1e-300 to 1 - 1e-3, at a / r^2 = 1e300 so that the
+    # threshold (a / r^2)(q^2/2 + ...) stays a normal float.  The direct
+    # -log1p(-q) - q cancels as q falls and underflows to a negative price.
+    worst = 0.0
+    for r in (1.0, 0.3, 0.01):
+        a = 1e300 * r * r
+        for q in [10.0 ** (k / 10) for k in range(-3000, 0)] + [0.5, 0.9, 0.99, 1.0 - 1e-3]:
+            p = AssetParams(1.0, a, q * a / r, r)
+            threshold = acquisition_threshold(p)
+            assert threshold > 0.0, p
+            with localcontext(Context(prec=60)):
+                exact_q = Decimal(p.depreciation_rate) * Decimal(r) / Decimal(a)
+                exact = Decimal(a) / Decimal(r) ** 2 * reference_log_tail(exact_q)
+                worst = max(worst, float(abs(Decimal(threshold) - exact) / exact))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "params, exact",
+    [
+        # 60-digit values of (a / r^2)(-ln(1 - q) - q) at the exact inputs
+        (AssetParams(1.0, 1000.0, 0.02, 0.01), "2.00000026666670674993981571908556342243948760933958574436322e-7"),
+        (AssetParams(1e-300, 1e300, 1e-300, 1.0), "0"),
+    ],
+)
+def test_acquisition_threshold_at_small_ratio(params, exact):
+    threshold = acquisition_threshold(params)
+    assert threshold >= 0.0
+    assert threshold == pytest.approx(float(Decimal(exact)), rel=1e-13, abs=0.0)
+
+
+def test_economic_life_names_an_overflowing_cost_ratio():
+    p = AssetParams(1e300, 1e-300, 1.0, 1.0)  # A r^2 / a = 1e600
+    with pytest.raises(ValueError, match=r"cost ratio A\*r\^2/a .* overflows"):
+        economic_life(p)
+
+
 def test_threshold_instance_balances_both_optima():
     p0 = AssetParams(acquisition_threshold(INSTANCE_C4_1), 5.0, 20.0, 0.1)
     h0 = property_cost(p0, 0.0)

@@ -162,6 +162,19 @@ def test_fleet_row_with_vanishing_full_depreciation_age(tmp_path, capsys):
     assert out == FLEET_OUTPUT + "x,C5,1.41421356237e-150,1.41421356237e-150,,2.43001746579e-150,\n"
 
 
+def test_fleet_row_with_overflowing_cost_ratio(tmp_path, capsys):
+    # A r^2 / a = 1e600 leaves the float range; the row's error names the
+    # cost ratio, and the other rows are unchanged
+    path = tmp_path / "fleet.csv"
+    path.write_text(FLEET_INPUT + "big,1e300,1e-300,1,1\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "fleet", "--input", str(path))
+    assert code == 0
+    assert out == FLEET_OUTPUT + (
+        "big,,,,,,cost ratio A*r^2/a = acquisition_cost * interest_rate**2 / maint_slope "
+        "overflows the float range\n"
+    )
+
+
 def test_fleet_output_file_and_round_trip(tmp_path, capsys):
     src = tmp_path / "fleet.csv"
     src.write_text(FLEET_INPUT, encoding="utf-8")

@@ -16,6 +16,7 @@ from econlife import (
     property_cost_derivative,
     salvage,
 )
+from econlife.numerics import expm1_minus
 
 
 @pytest.mark.parametrize(
@@ -222,3 +223,20 @@ def test_curve_input_errors():
         curve(INSTANCE_C1, t_max=1.0, step=2.0)
     with pytest.raises(ValueError, match="overflow guard"):
         curve(INSTANCE_C1, t_max=8000.0, step=1.0)
+
+
+def test_expm1_minus_matches_blended_series_and_direct_form():
+    # Reference: both forms on every point, blended by the series cutoff.
+    # Evaluating the series only on the small points must not change a bit.
+    tiny_to_one = np.geomspace(1e-300, 1.0, 6001)
+    x = np.concatenate([np.linspace(-5.0, 5.0, 20001), tiny_to_one, -tiny_to_one, [0.0]])
+    x2 = x * x
+    series = 0.5 * x2 * (1.0 + x / 3.0 + x2 / 12.0 + x2 * x / 60.0 + x2 * x2 / 360.0)
+    reference = np.where(np.abs(x) < 1e-3, series, np.expm1(x) - x)
+    out = expm1_minus(x)
+    assert out.shape == x.shape
+    assert np.array_equal(out.view(np.int64), reference.view(np.int64))
+    for i in range(0, x.size, 97):
+        value = expm1_minus(float(x[i]))
+        assert type(value) is float and value == reference[i]
+    assert expm1_minus(0.0) == 0.0 and expm1_minus(np.array(0.0)) == 0.0

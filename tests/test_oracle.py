@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     INSTANCE_C1,
+    INSTANCE_C4_1,
     INSTANCE_C4_3,
     INSTANCE_C5,
     INSTANCE_FLAT,
@@ -13,12 +14,14 @@ from conftest import (
 )
 from econlife import (
     AssetParams,
+    acquisition_threshold,
     brute_force_minimize,
     check_against_search,
     economic_life,
     integrate_discounted_maintenance,
     interior_minimum_age,
     maintenance_cost,
+    oracle,
     property_cost,
 )
 
@@ -171,3 +174,44 @@ def test_check_against_search_flags_tampered_results():
         result, minimizers=type(result.minimizers).point(result.interior_minimum_age + 0.5)
     )
     assert "not reproduced" in check_against_search(params, wrong_spot)
+
+
+# Interior optimum at rate * age ~ 1e4, far past the scan cap of 686 years:
+# beyond rate * age ~ 33 the cost is flat to within the tie tolerance, so the
+# whole tail of the grid ties its minimum.
+CAPPED_TIED_TAIL = AssetParams(1e4, 1.0, 1e3, 1.0)
+
+
+EXACT_TIE = AssetParams(acquisition_threshold(INSTANCE_C4_1), 5.0, 20.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "params, t_max, step",
+    [
+        (INSTANCE_C1, _scan_horizon(INSTANCE_C1), 1e-3),
+        (INSTANCE_C4_3, _scan_horizon(INSTANCE_C4_3), 1e-3),
+        (AssetParams(100.0, 1.6, 2.0, 0.8), 100.0, 1e-2),
+        (EXACT_TIE, _scan_horizon(EXACT_TIE), 1e-3),
+        (CAPPED_TIED_TAIL, 686.0, 5e-2),
+    ],
+    ids=["C1", "C4_3", "plateau", "exact_tie", "capped_tied_tail"],
+)
+def test_scan_is_chunk_invariant(monkeypatch, params, t_max, step):
+    # Between them these grids hold chunks wholly above the tie threshold,
+    # wholly at or below it (the plateau and the tied tail) and across it,
+    # the three cases _tied_runs settles differently.
+    n = int(math.floor(t_max / step + 1e-9))
+    values = property_cost(params, np.arange(n + 1, dtype=float) * step)
+    h_min = float(values.min())
+    threshold = h_min + oracle.TIE_RTOL * abs(h_min)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], values <= threshold, [0])).astype(np.int8)))
+    whole_grid_runs = list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
+
+    reports = []
+    for chunk in (7, 64, oracle._CHUNK):
+        h, _, _, _, chunks = oracle._grid_scan(params, n, step, chunk)
+        assert h == h_min
+        assert oracle._tied_runs(params, step, chunks, threshold) == whole_grid_runs
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        reports.append(brute_force_minimize(params, t_max, step))
+    assert reports[0] == reports[1] == reports[2]
