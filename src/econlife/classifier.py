@@ -180,14 +180,16 @@ _HALLEY_MAX_ITER = 10
 
 
 def _scaled_interior_age(c: float) -> float:
-    """tau = 1 + c + W0(-e^(-1-c)), the root of gap(tau) = c, for c >= 0."""
+    """tau = 1 + c + W0(-e^(-1-c)), the root of gap(tau) = c, for c > 0.
+
+    The cost ratio of valid parameters is positive, so c = 0 means that it
+    underflowed and c = inf that it overflowed; either raises ValueError.
+    """
     if not 0.0 < c < math.inf:
-        if c > 0.0:
-            raise ValueError(
-                "cost ratio A*r^2/a = acquisition_cost * interest_rate**2 / maint_slope "
-                "overflows the float range"
-            )
-        return c  # gap(0) = 0
+        bound = "overflows the float range" if c > 0.0 else "underflows to 0"
+        raise ValueError(
+            f"cost ratio A*r^2/a = acquisition_cost * interest_rate**2 / maint_slope {bound}"
+        )
     if c < _LARGE_COST_RATIO:
         # W0(-1/e + d/e) = -1 + p - p^2/3 + 11 p^3/72 - 43 p^4/540 + 769 p^5/17280 - ...
         p = math.sqrt(-2.0 * math.expm1(-c))
@@ -218,8 +220,8 @@ def interior_minimum_age(params: AssetParams) -> float:
 
     Defined by gap(rate * age) == cost_ratio, solved in closed form through
     the Lambert W function.  It is a genuine local minimum (and lies beyond
-    the full-depreciation age) exactly when maint_slope < slope_threshold;
-    the formula itself is total over valid parameters.
+    the full-depreciation age) exactly when maint_slope < slope_threshold.
+    Raises ValueError when the cost ratio A r^2 / a leaves the float range.
     """
     r = params.interest_rate
     return _scaled_interior_age(params.acquisition_cost * r * r / params.maint_slope) / r

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import expm1_minus
+from .numerics import SERIES_CUTOFF, expm1_minus, expm1_minus_series
 from .params import AssetParams
 
 __all__ = [
@@ -55,11 +55,15 @@ class CostSample:
 def _as_ages(params: AssetParams, t, minimum: float = 0.0):
     """Validate ages and return (array, was_scalar)."""
     arr = np.asarray(t, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < minimum):
-        bad = arr[np.isnan(arr) | (arr < minimum)].flat[0]
-        op = ">=" if minimum == 0.0 else ">"
-        raise ValueError(f"age must be {op} {minimum:g}; got t = {bad!r}")
-    if np.any(params.interest_rate * arr > MAX_RATE_AGE):
+    # A NaN fails the first comparison, and r * max(t) = max(r * t) because
+    # rounding is monotone; the offending age is looked up only on failure.
+    if arr.size and not (
+        arr.min() >= minimum and params.interest_rate * arr.max() <= MAX_RATE_AGE
+    ):
+        low = np.isnan(arr) | (arr < minimum)
+        if np.any(low):
+            op = ">=" if minimum == 0.0 else ">"
+            raise ValueError(f"age must be {op} {minimum:g}; got t = {arr[low].flat[0]!r}")
         bad = arr[params.interest_rate * arr > MAX_RATE_AGE].flat[0]
         raise ValueError(
             f"rate*age exceeds the overflow guard {MAX_RATE_AGE:g}; got t = {bad!r}"
@@ -139,6 +143,13 @@ def property_cost(params: AssetParams, t):
     Piecewise-smooth in t with a kink at the full-depreciation age
     ``params.junction``; continuous there and at t = 0 (limit value
     (e^r - 1)(A r + b)/r).  This is the objective the economic life minimizes.
+
+    With x = r t and safe = e^x - 1 (1 where that is 0), the value is
+    (e^r - 1)/r^2 times a (e^x - 1 - x)/safe + (b r)(x/safe) + A r^2 below the
+    junction and a (e^x - 1 - x)/safe + A r^2 (1 + 1/safe) from it on.  One
+    fused pass evaluates e^x - 1 once per point in three work arrays; the
+    series for e^x - 1 - x, safe = 1 and the age-0 limit are applied to the
+    points with x < SERIES_CUTOFF only.
     """
     arr, scalar = _as_ages(params, t)
     A = params.acquisition_cost
@@ -146,18 +157,30 @@ def property_cost(params: AssetParams, t):
     b = params.depreciation_rate
     r = params.interest_rate
     i_eff = math.expm1(r)
+    A_r2 = A * r * r
 
-    x = r * arr
+    ages = arr.reshape(-1)
+    below = ages < params.junction
+    x = np.multiply(ages, r)
+    em = np.expm1(x)
+    small = np.flatnonzero(x < SERIES_CUTOFF)
+    out = np.subtract(em, x)
+    out[small] = expm1_minus_series(x[small])
+    em[small[em[small] == 0.0]] = 1.0  # safe: e^x - 1 is 0 only at x = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        em = np.expm1(x)
-        safe = np.where(em == 0.0, 1.0, em)
-        ratio = expm1_minus(x) / safe  # (e^x - 1 - x)/(e^x - 1), in [0, 1)
-        scale = i_eff / (r * r)
-        below = scale * (a * ratio + b * r * (x / safe) + A * r * r)
-        above = scale * (a * ratio + A * r * r * (1.0 + 1.0 / safe))
-        out = np.where(arr < params.junction, below, above)
-    out = np.where(arr == 0.0, i_eff * (A * r + b) / r, out)
-    return _scalar_or_array(out, scalar)
+        out /= em  # (e^x - 1 - x)/safe, in [0, 1)
+        out *= a
+        x /= em
+        x *= b * r  # below the junction: (b r)(x/safe)
+        np.divide(1.0, em, out=em)
+        em += 1.0
+        em *= A_r2  # from the junction on: A r^2 (1 + 1/safe)
+        np.copyto(em, x, where=below)
+        out += em
+        np.add(out, A_r2, out=out, where=below)
+        out *= i_eff / (r * r)
+    out[small[ages[small] == 0.0]] = i_eff * (A * r + b) / r
+    return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
 def property_cost_derivative(params: AssetParams, t):

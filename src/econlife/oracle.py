@@ -30,9 +30,11 @@ TIE_RTOL = 1e-12
 #: A run of at least this many tied grid points is reported as a plateau.
 PLATEAU_MIN_POINTS = 3
 _MAX_QUAD_DEPTH = 60
-# Grid points per cost evaluation of the scan: the chunk's temporaries stay
-# in a per-core cache, where a point costs about half what it does at 2^20.
-_CHUNK = 1 << 16
+# Grid points per cost evaluation of the scan.  At this size each call's
+# work arrays reuse memory the previous call freed: a 2^14-point call takes
+# no page faults, a 2^16-point one several hundred, and faulting in fresh
+# pages costs more than the arithmetic on them.
+_CHUNK = 1 << 14
 # Each zoom grid narrows a bracket 32-fold, down to this width.
 _ZOOM_POINTS = 65
 _ZOOM_WIDTH = 1e-10
@@ -172,6 +174,13 @@ def brute_force_minimize(params: AssetParams, t_max: float, step: float) -> Mini
 _MAX_BASINS = 16
 
 
+def _grid_ages(lo, hi, step):
+    """Ages of the grid indices lo..hi-1, in one allocation."""
+    ages = np.arange(lo, hi, dtype=float)
+    ages *= step
+    return ages
+
+
 def _grid_scan(params, n, step, chunk):
     """One pass over the grid indices 0..n, ``chunk`` indices at a time.
 
@@ -187,7 +196,7 @@ def _grid_scan(params, n, step, chunk):
     carry = np.empty(0)
     for lo in range(0, n + 1, chunk):
         hi = min(lo + chunk, n + 1)
-        values = property_cost(params, np.arange(lo, hi, dtype=float) * step)
+        values = property_cost(params, _grid_ages(lo, hi, step))
         i = int(np.argmin(values))
         if values[i] < h_min:
             h_min = float(values[i])
@@ -227,7 +236,7 @@ def _tied_runs(params, step, chunks, threshold):
         elif high <= threshold:
             flips = [lo] if start is None else []
         else:
-            tied = property_cost(params, np.arange(lo, hi, dtype=float) * step) <= threshold
+            tied = property_cost(params, _grid_ages(lo, hi, step)) <= threshold
             before = np.concatenate(([start is not None], tied[:-1]))
             flips = (lo + np.flatnonzero(tied != before)).tolist()
         # Flips alternate: each one starts a run or ends the open one.
@@ -272,11 +281,25 @@ def _polish(params, v, best, span, levels=12):
     marching d downward until the curvature signal drowns in rounding noise
     gains several orders of magnitude in location accuracy.  Each level
     evaluates v - d, v and v + d of every basin still being fitted in one
-    call; ``best`` collects the least value seen per basin.
+    call; ``best`` collects the least value seen per basin.  A vertex whose
+    value exceeds the previous centre's beyond the tie tolerance (a fit
+    spoilt by the kink at the junction or the steep rise towards age 0) is
+    undone, and the next level fits again around the previous centre at the
+    already reduced half-width.
     """
     v, best = v.copy(), best.copy()
+    previous, centre = v.copy(), best.copy()  # last accepted centre and its value
     d = np.full(len(v), float(span))
     fitting = np.arange(len(v))
+
+    def uphill(f_v):
+        """Undo the basins whose new centre is uphill; record the others'."""
+        up = f_v > centre[fitting] + TIE_RTOL * np.abs(centre[fitting])
+        v[fitting[up]] = previous[fitting[up]]
+        kept = fitting[~up]
+        previous[kept], centre[kept] = v[kept], f_v[~up]
+        return up
+
     for _ in range(levels):
         if fitting.size == 0:
             break
@@ -285,14 +308,18 @@ def _polish(params, v, best, span, levels=12):
         ages = np.concatenate([vk - dk, vk, vk + dk])
         f_lo, f_v, f_hi = property_cost(params, ages).reshape(3, -1)
         best[fitting] = np.minimum(np.minimum(best[fitting], f_v), np.minimum(f_lo, f_hi))
+        up = uphill(f_v)
         curvature = (f_lo - f_v) + (f_hi - f_v)
-        fits = (dk > 0.0) & (curvature > 64.0 * np.finfo(float).eps * np.abs(f_v))
+        fits = ~up & (dk > 0.0) & (curvature > 64.0 * np.finfo(float).eps * np.abs(f_v))
         shift = 0.5 * dk[fits] * (f_lo - f_hi)[fits] / curvature[fits]
-        fitting = fitting[fits]
-        v[fitting] += np.clip(shift, -d[fitting], d[fitting])
-        d[fitting] /= 8.0
+        moved = fitting[fits]
+        v[moved] += np.clip(shift, -d[moved], d[moved])
+        d[moved] /= 8.0
+        fitting = fitting[fits | up]
     if fitting.size:
-        best[fitting] = np.minimum(best[fitting], property_cost(params, v[fitting]))
+        f_v = property_cost(params, v[fitting])
+        best[fitting] = np.minimum(best[fitting], f_v)
+        uphill(f_v)
     return v, best
 
 

@@ -1,5 +1,7 @@
 """Shared fixtures and parameter strategies."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume
@@ -38,6 +40,16 @@ def draw_params(rng: np.random.Generator, scan_safe: bool = False) -> AssetParam
             return params
         if rate * interior_minimum_age(params) <= MAX_SCALED_AGE:
             return params
+
+
+def draw_wide_params(rng: np.random.Generator) -> AssetParams:
+    """draw_params's price and rate, with the cost ratio log-uniform in
+    [1e-20, 1e2] and the full-depreciation age log-uniform in [1e-12, 50] y."""
+    base = draw_params(rng)
+    A, r = base.acquisition_cost, base.interest_rate
+    c = 10.0 ** rng.uniform(-20.0, 2.0)
+    junction = 10.0 ** rng.uniform(-12.0, math.log10(50.0))
+    return AssetParams(A, A * r * r / c, A / junction, r)
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from conftest import (
     INSTANCE_FLAT,
     asset_params,
     draw_params,
+    draw_wide_params,
 )
 from econlife import (
     AssetParams,
@@ -165,6 +166,29 @@ def test_economic_life_names_an_overflowing_cost_ratio():
     p = AssetParams(1e300, 1e-300, 1.0, 1.0)  # A r^2 / a = 1e600
     with pytest.raises(ValueError, match=r"cost ratio A\*r\^2/a .* overflows"):
         economic_life(p)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        AssetParams(1.0, 1e-10, 1.0, 1e-200),  # r^2 underflows; was a ZeroDivisionError
+        AssetParams(1e-300, 1e30, 1e-100, 1.0),  # A r^2 / a = 1e-330; was C4_3 at age 0, cost 0
+    ],
+)
+def test_economic_life_names_an_underflowing_cost_ratio(params):
+    with pytest.raises(ValueError, match=r"cost ratio A\*r\^2/a .* underflows to 0"):
+        economic_life(params)
+    with pytest.raises(ValueError, match="underflows to 0"):
+        interior_minimum_age(params)
+
+
+def test_c1_at_a_vanishing_rate_never_needs_the_cost_ratio():
+    # r^2 underflows here too, but the cost rises everywhere, so no interior
+    # age is solved for
+    p = AssetParams(1.0, 10.0, 1.0, 1e-200)
+    result = economic_life(p)
+    assert result.case is CaseLabel.C1 and result.minimizers.values == (0.0,)
+    assert result.min_cost == 1.0 and result.cost_ratio == 0.0
 
 
 def test_threshold_instance_balances_both_optima():
@@ -336,16 +360,6 @@ def test_slope_threshold_never_rounds_below_depreciation_speed():
     result = economic_life(p)
     assert result.case is not CaseLabel.C3 and classify(p) is result.case
     assert result.min_cost == pytest.approx(property_cost(p, 0.0), rel=1e-12)
-
-
-def draw_wide_params(rng: np.random.Generator) -> AssetParams:
-    """draw_params's price and rate, with the cost ratio log-uniform in
-    [1e-20, 1e2] and the full-depreciation age log-uniform in [1e-12, 50] y."""
-    base = draw_params(rng)
-    A, r = base.acquisition_cost, base.interest_rate
-    c = 10.0 ** rng.uniform(-20.0, 2.0)
-    junction = 10.0 ** rng.uniform(-12.0, math.log10(50.0))
-    return AssetParams(A, A * r * r / c, A / junction, r)
 
 
 @pytest.mark.parametrize("draw", [draw_params, draw_wide_params])

@@ -175,6 +175,19 @@ def test_fleet_row_with_overflowing_cost_ratio(tmp_path, capsys):
     )
 
 
+def test_fleet_row_with_underflowing_cost_ratio(tmp_path, capsys):
+    # r^2 underflows to 0 for the added row; its error names the cost ratio,
+    # where it used to stop the run with a ZeroDivisionError
+    path = tmp_path / "fleet.csv"
+    path.write_text(FLEET_INPUT + "tiny,1,1e-10,1,1e-200\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "fleet", "--input", str(path))
+    assert code == 0
+    assert out == FLEET_OUTPUT + (
+        "tiny,,,,,,cost ratio A*r^2/a = acquisition_cost * interest_rate**2 / maint_slope "
+        "underflows to 0\n"
+    )
+
+
 def test_fleet_output_file_and_round_trip(tmp_path, capsys):
     src = tmp_path / "fleet.csv"
     src.write_text(FLEET_INPUT, encoding="utf-8")

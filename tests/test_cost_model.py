@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +14,12 @@ from econlife import (
     curve,
     maintenance,
     maintenance_cost,
+    oracle,
     property_cost,
     property_cost_derivative,
     salvage,
 )
+from econlife.cost_model import MAX_RATE_AGE
 from econlife.numerics import expm1_minus
 
 
@@ -240,3 +244,92 @@ def test_expm1_minus_matches_blended_series_and_direct_form():
         value = expm1_minus(float(x[i]))
         assert type(value) is float and value == reference[i]
     assert expm1_minus(0.0) == 0.0 and expm1_minus(np.array(0.0)) == 0.0
+
+
+def reference_property_cost(params, t):
+    """property_cost as both junction branches selected by np.where."""
+    A = params.acquisition_cost
+    a = params.maint_slope
+    b = params.depreciation_rate
+    r = params.interest_rate
+    i_eff = math.expm1(r)
+    arr = np.asarray(t, dtype=float)
+    x = r * arr
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        em = np.expm1(x)
+        safe = np.where(em == 0.0, 1.0, em)
+        ratio = expm1_minus(x) / safe
+        scale = i_eff / (r * r)
+        below = scale * (a * ratio + b * r * (x / safe) + A * r * r)
+        above = scale * (a * ratio + A * r * r * (1.0 + 1.0 / safe))
+        out = np.where(arr < params.junction, below, above)
+    return np.where(arr == 0.0, i_eff * (A * r + b) / r, out)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        INSTANCE_C1,
+        INSTANCE_C4_3,
+        INSTANCE_FLAT,
+        AssetParams(4295.2, 4.27e21, 3.25e14, 0.1648),  # junction 1.3e-11 y, cost ratio 2.7e-20
+        AssetParams(1.0, 1e-10, 1.0, 1e-150),  # x = r t underflows to 0 at the least ages
+        AssetParams(1e4, 1.0, 1e3, 1.0),
+    ],
+)
+def test_property_cost_is_bit_identical_to_the_branch_formula(params):
+    r, j = params.interest_rate, params.junction
+    cap = MAX_RATE_AGE / r
+    ages = np.concatenate(
+        [
+            [0.0, -0.0, 5e-324, 1e-300, 1e-3 / r, np.nextafter(1e-3 / r, 0.0)],
+            np.geomspace(1e-300, cap, 3001),
+            np.linspace(0.0, 2e-3 / r, 501),  # across the series cutoff
+            [np.nextafter(j, 0.0), j, np.nextafter(j, np.inf)],
+            np.linspace(0.5 * j, 1.5 * j, 501),
+            [cap, np.nextafter(cap, 0.0)],
+        ]
+    )
+    ages = ages[r * ages <= MAX_RATE_AGE]
+    expected = reference_property_cost(params, ages)
+    out = property_cost(params, ages)
+    assert out.shape == ages.shape
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+    grid = ages[: 2 * (ages.size // 2)].reshape(2, -1)
+    assert np.array_equal(property_cost(params, grid), expected[: grid.size].reshape(grid.shape))
+    for t, value in zip(ages[::37].tolist(), expected[::37].tolist()):
+        h = property_cost(params, t)
+        assert type(h) is float and h == value
+
+
+@pytest.mark.parametrize(
+    "ages, message",
+    [
+        (float("nan"), "age must be >= 0; got t = np.float64(nan)"),
+        (-1.0, "age must be >= 0; got t = np.float64(-1.0)"),
+        ([1.0, -2.0, float("nan")], "age must be >= 0; got t = np.float64(-2.0)"),
+        ([7500.0, float("nan")], "age must be >= 0; got t = np.float64(nan)"),
+        ([[1.0, 7500.0], [-1.0, 2.0]], "age must be >= 0; got t = np.float64(-1.0)"),
+        (7500.0, "rate*age exceeds the overflow guard 700; got t = np.float64(7500.0)"),
+        ([1.0, 8000.0, 7500.0], "rate*age exceeds the overflow guard 700; got t = np.float64(8000.0)"),
+    ],
+)
+def test_property_cost_age_errors(ages, message):
+    # A bad age is reported before an over-guard one, each by its first occurrence.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        property_cost(INSTANCE_C1, ages)
+
+
+def test_property_cost_allocates_at_most_four_and_a_half_arrays():
+    # A scan chunk's evaluation holds three work arrays and two boolean
+    # masks; a fresh temporary per operation would hold eight or more.
+    n = oracle._CHUNK
+    ages = np.arange(n, dtype=float) * 1e-3
+    property_cost(INSTANCE_C4_3, ages)
+    tracemalloc.start()
+    try:
+        property_cost(INSTANCE_C4_3, ages)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * n

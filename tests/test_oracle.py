@@ -11,6 +11,7 @@ from conftest import (
     INSTANCE_C5,
     INSTANCE_FLAT,
     draw_params,
+    draw_wide_params,
 )
 from econlife import (
     AssetParams,
@@ -174,6 +175,30 @@ def test_check_against_search_flags_tampered_results():
         result, minimizers=type(result.minimizers).point(result.interior_minimum_age + 0.5)
     )
     assert "not reproduced" in check_against_search(params, wrong_spot)
+
+
+def test_polish_undoes_a_fit_that_climbs_from_age_zero():
+    # The optimum lies at 8.7e-8 y, past a full-depreciation age of 1.8e-10 y.
+    # The first parabola fit spans age 0, where the cost is 250 times higher,
+    # and its vertex lies uphill; keeping it lost the optimum.
+    # It was reported at 1.18e-7 y, inside check_against_search's absolute
+    # 1e-6 y point tolerance, so only the report itself shows the miss.
+    p = AssetParams(6556.142437440896, 1.737249962132903e18, 36409508719914.875, 0.21780982627826878)
+    result = economic_life(p)
+    report = brute_force_minimize(p, _scan_horizon(p), 1e-3)
+    assert report.argmin_points == pytest.approx([result.interior_minimum_age], rel=1e-9)
+    assert report.min_value == pytest.approx(result.min_cost, rel=1e-12)
+    assert check_against_search(p, result) is None
+
+
+def test_search_verifies_wide_ratio_assets():
+    # Cost ratios down to 1e-20 and full-depreciation ages down to 1e-12 y put
+    # sharp optima within a grid step of age 0; before the polish undid uphill
+    # fits, about one in five of these failed verification.
+    rng = np.random.default_rng(20261019)
+    for _ in range(100):
+        p = draw_wide_params(rng)
+        assert check_against_search(p, economic_life(p)) is None, p
 
 
 # Interior optimum at rate * age ~ 1e4, far past the scan cap of 686 years:
