@@ -1,9 +1,9 @@
 """Independent numerical ground truth for the closed forms.
 
 Two derivative-free tools, deliberately ignorant of the classification
-machinery: adaptive quadrature for the discounted-maintenance integral, and
-a single grid scan plus batched zoom / quadratic-fit refinement that locates
-the global minimizers of the ownership cost by value comparison alone.
+machinery: Gauss-Legendre quadrature for the discounted-maintenance integral,
+and a single grid scan plus batched zoom / quadratic-fit refinement that
+locates the global minimizers of the ownership cost by value comparison alone.
 Tests and the fleet ``--verify`` mode use these to cross-check the
 closed-form path; nothing here is consulted by that path.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_model import MAX_RATE_AGE, AssetParams, property_cost
+from .cost_model import AssetParams, property_cost
 from .errors import NumericError
 
 __all__ = [
@@ -29,7 +29,13 @@ __all__ = [
 TIE_RTOL = 1e-12
 #: A run of at least this many tied grid points is reported as a plateau.
 PLATEAU_MIN_POINTS = 3
-_MAX_QUAD_DEPTH = 60
+#: ``check_against_search`` scans to at most rate * age = 686.  This bounds the
+#: grid, 686 / (rate * step) points; the cost itself is exact at every age.
+SCAN_LIMIT = 686.0
+# Quadrature panels: 20-node Gauss-Legendre, their count doubled at most
+# _MAX_DOUBLINGS times.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_MAX_DOUBLINGS = 8
 # Grid points per cost evaluation of the scan.  At this size each call's
 # work arrays reuse memory the previous call freed: a 2^14-point call takes
 # no page faults, a 2^16-point one several hundred, and faulting in fresh
@@ -57,12 +63,15 @@ class MinimizationReport:
 
 
 def integrate_discounted_maintenance(params: AssetParams, t: float, tol: float = 1e-10) -> float:
-    """Discounted upkeep accumulated to age t, by adaptive Simpson quadrature.
+    """Discounted upkeep accumulated to age t, by Gauss-Legendre quadrature.
 
-    Integrates maint_slope * s * e**(-rate*s) over [0, t] to an
-    absolute-plus-relative tolerance ``tol``, bisecting intervals until the
-    local fifth-order error estimate passes.  Independent of the closed-form
-    antiderivative, which the tests compare against.
+    Integrates maint_slope * s * e**(-rate*s) over [0, t] with 20-node
+    Gauss-Legendre panels of equal width, at most 4 / rate wide to start,
+    doubling the panel count until two estimates agree to an
+    absolute-plus-relative tolerance ``tol``.  Past rate * s = 750 the
+    integrand is below the double range, so the panels end there.
+    Independent of the closed-form antiderivative, which the tests compare
+    against.
     """
     if t < 0.0:
         raise ValueError("integration age must be >= 0")
@@ -72,36 +81,20 @@ def integrate_discounted_maintenance(params: AssetParams, t: float, tol: float =
         return 0.0
     a = params.maint_slope
     r = params.interest_rate
-
-    def integrand(s: float) -> float:
-        return a * s * math.exp(-r * s)
-
-    lo, hi = 0.0, float(t)
-    f_lo, f_mid, f_hi = integrand(lo), integrand(0.5 * (lo + hi)), integrand(hi)
-    whole = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-    budget = tol * max(1.0, abs(whole))
-    return _adaptive_simpson(integrand, lo, hi, f_lo, f_mid, f_hi, whole, budget, _MAX_QUAD_DEPTH)
-
-
-def _adaptive_simpson(f, lo, hi, f_lo, f_mid, f_hi, whole, tol, depth):
-    mid = 0.5 * (lo + hi)
-    left_mid = 0.5 * (lo + mid)
-    right_mid = 0.5 * (mid + hi)
-    f_lm = f(left_mid)
-    f_rm = f(right_mid)
-    left = (mid - lo) / 6.0 * (f_lo + 4.0 * f_lm + f_mid)
-    right = (hi - mid) / 6.0 * (f_mid + 4.0 * f_rm + f_hi)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise NumericError(
-            f"adaptive quadrature did not converge on [{lo!r}, {hi!r}] "
-            f"after {_MAX_QUAD_DEPTH} bisection levels"
-        )
-    return _adaptive_simpson(
-        f, lo, mid, f_lo, f_lm, f_mid, left, 0.5 * tol, depth - 1
-    ) + _adaptive_simpson(f, mid, hi, f_mid, f_rm, f_hi, right, 0.5 * tol, depth - 1)
+    end = min(float(t), 750.0 / r)
+    panels = max(1, math.ceil(r * end / 4.0))
+    previous = None
+    for _ in range(_MAX_DOUBLINGS + 1):
+        half = 0.5 * end / panels
+        s = (2.0 * np.arange(panels) + 1.0)[:, None] * half + half * _GL_NODES
+        estimate = half * float(np.sum((a * s * np.exp(-r * s)) @ _GL_WEIGHTS))
+        if previous is not None and abs(estimate - previous) <= tol * max(1.0, abs(estimate)):
+            return estimate
+        previous = estimate
+        panels *= 2
+    raise NumericError(
+        f"quadrature on [0, {end!r}] did not converge after {_MAX_DOUBLINGS} panel doublings"
+    )
 
 
 def brute_force_minimize(params: AssetParams, t_max: float, step: float) -> MinimizationReport:
@@ -341,10 +334,10 @@ def check_against_search(
     t_max = max(2.0 * params.junction, 10.0)
     if result.interior_minimum_age is not None:
         t_max = max(t_max, 1.5 * result.interior_minimum_age)
-    cap = 0.98 * MAX_RATE_AGE / params.interest_rate
+    cap = SCAN_LIMIT / params.interest_rate
     if cap < t_max:
         if cap < max(2.0 * params.junction, 10.0):
-            return "scan horizon exceeds the overflow guard; not verifiable"
+            return f"scan horizon exceeds the scan limit rate*age = {SCAN_LIMIT:g}; not verifiable"
         t_max = cap
     report = brute_force_minimize(params, t_max, step)
 

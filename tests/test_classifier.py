@@ -27,7 +27,6 @@ from econlife import (
     property_cost,
     slope_threshold,
 )
-from econlife.cost_model import MAX_RATE_AGE
 
 
 def bisect_gap_level(level: float, tol: float = 1e-13) -> float:
@@ -371,8 +370,4 @@ def test_every_result_obeys_its_invariants(draw):
         for t in result.minimizers.values:
             if t > 0.0 and t == result.interior_minimum_age:
                 assert t > p.junction, p
-            # property_cost refuses rate * age beyond its overflow guard;
-            # minimizers out there cannot be evaluated yet.
-            if p.interest_rate * t > MAX_RATE_AGE:
-                continue
             assert result.min_cost == pytest.approx(property_cost(p, t), rel=1e-12), p

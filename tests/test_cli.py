@@ -34,6 +34,16 @@ t,capital_cost,maintenance_cost,property_cost
 10,6.65511770543,21.9819467578,28.6370644632
 """
 
+# rate * age 250 to 1000: each cost has reached its asymptote to 12 digits.
+CURVE_FAR = """\
+t,capital_cost,maintenance_cost,property_cost
+0,31.5512754227,0,31.5512754227
+2500,10.5170918076,105.170918076,115.688009883
+5000,10.5170918076,105.170918076,115.688009883
+7500,10.5170918076,105.170918076,115.688009883
+10000,10.5170918076,105.170918076,115.688009883
+"""
+
 FLEET_INPUT = """\
 id,acquisition_cost,maint_slope,depreciation_rate,interest_rate
 m1,100,10,20,0.1
@@ -142,6 +152,17 @@ def test_curve_default_grid(capsys):
 def test_curve_rejects_bad_grid(capsys):
     code, _, err = run_cli(capsys, "curve", *C4_3_FLAGS, "--t-max", "1", "--step", "2")
     assert code == 1 and "step" in err
+
+
+def test_curve_reaches_the_asymptote_past_rate_age_700(capsys):
+    code, out, _ = run_cli(capsys, "curve", *C1_FLAGS, "--t-max", "10000", "--step", "2500")
+    assert code == 0
+    assert out == CURVE_FAR
+
+
+def test_curve_rejects_infinite_horizon(capsys):
+    code, _, err = run_cli(capsys, "curve", *C1_FLAGS, "--t-max", "inf", "--step", "1")
+    assert code == 1 and "t_max < inf" in err
 
 
 def test_fleet_golden(tmp_path, capsys):

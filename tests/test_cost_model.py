@@ -19,7 +19,6 @@ from econlife import (
     property_cost_derivative,
     salvage,
 )
-from econlife.cost_model import MAX_RATE_AGE
 from econlife.numerics import expm1_minus
 
 
@@ -102,8 +101,6 @@ def test_maintenance_cost_zero_and_small_age():
 @given(asset_params(), st.floats(0.0, 2.5))
 def test_property_cost_decomposition(p, u):
     t = u * p.junction
-    if p.interest_rate * t > 650.0:
-        t = 650.0 / p.interest_rate
     h = property_cost(p, t)
     assert h == pytest.approx(capital_cost(p, t) + maintenance_cost(p, t), rel=1e-10)
 
@@ -199,11 +196,27 @@ def test_vectorized_matches_scalar():
         assert property_cost_derivative(p, float(t)) == v
 
 
-def test_overflow_guard():
-    p = INSTANCE_C1
-    with pytest.raises(ValueError, match="overflow guard"):
-        property_cost(p, 7500.0)
-    assert math.isfinite(property_cost(p, 6999.0))
+def test_costs_reach_their_asymptotes_past_rate_age_700():
+    # The last asset's junction lies at rate * age 5000: its first two ages are
+    # below the junction.
+    for params in (INSTANCE_C1, INSTANCE_C4_3, AssetParams(1.0, 1.0, 1e-4, 0.5)):
+        A, a, r = params.acquisition_cost, params.maint_slope, params.interest_rate
+        i_eff = math.expm1(r)
+        ages = np.array([700.0, 710.0, 1e4, 1e300, np.inf]) / r
+        asymptotes = {
+            property_cost: i_eff / r**2 * (a + A * r**2),
+            capital_cost: i_eff * A,
+            maintenance_cost: i_eff * a / r**2,
+        }
+        for fn, value in asymptotes.items():
+            assert np.all(np.abs(fn(params, ages) - value) <= 1e-15 * value), (params, fn)
+            for t in ages.tolist():
+                h = fn(params, t)
+                assert type(h) is float and abs(h - value) <= 1e-15 * value, (params, fn, t)
+        # The evaluated cost is constant past the hold, so its slope is 0.
+        past = ages[1:]
+        assert np.array_equal(property_cost_derivative(params, past), np.zeros(past.size))
+        assert all(property_cost_derivative(params, t) == 0.0 for t in past.tolist())
 
 
 def test_curve_grid_and_identity():
@@ -225,8 +238,9 @@ def test_curve_input_errors():
         curve(INSTANCE_C1, t_max=10.0, step=0.0)
     with pytest.raises(ValueError):
         curve(INSTANCE_C1, t_max=1.0, step=2.0)
-    with pytest.raises(ValueError, match="overflow guard"):
-        curve(INSTANCE_C1, t_max=8000.0, step=1.0)
+    for t_max, step in ((math.inf, 1.0), (math.nan, 1.0), (10.0, math.nan), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="t_max < inf"):
+            curve(INSTANCE_C1, t_max=t_max, step=step)
 
 
 def test_expm1_minus_matches_blended_series_and_direct_form():
@@ -279,7 +293,7 @@ def reference_property_cost(params, t):
 )
 def test_property_cost_is_bit_identical_to_the_branch_formula(params):
     r, j = params.interest_rate, params.junction
-    cap = MAX_RATE_AGE / r
+    cap = 700.0 / r
     ages = np.concatenate(
         [
             [0.0, -0.0, 5e-324, 1e-300, 1e-3 / r, np.nextafter(1e-3 / r, 0.0)],
@@ -290,7 +304,7 @@ def test_property_cost_is_bit_identical_to_the_branch_formula(params):
             [cap, np.nextafter(cap, 0.0)],
         ]
     )
-    ages = ages[r * ages <= MAX_RATE_AGE]
+    ages = ages[r * ages <= 700.0]
     expected = reference_property_cost(params, ages)
     out = property_cost(params, ages)
     assert out.shape == ages.shape
@@ -310,12 +324,10 @@ def test_property_cost_is_bit_identical_to_the_branch_formula(params):
         ([1.0, -2.0, float("nan")], "age must be >= 0; got t = np.float64(-2.0)"),
         ([7500.0, float("nan")], "age must be >= 0; got t = np.float64(nan)"),
         ([[1.0, 7500.0], [-1.0, 2.0]], "age must be >= 0; got t = np.float64(-1.0)"),
-        (7500.0, "rate*age exceeds the overflow guard 700; got t = np.float64(7500.0)"),
-        ([1.0, 8000.0, 7500.0], "rate*age exceeds the overflow guard 700; got t = np.float64(8000.0)"),
     ],
 )
 def test_property_cost_age_errors(ages, message):
-    # A bad age is reported before an over-guard one, each by its first occurrence.
+    # A bad age is reported by its first occurrence.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         property_cost(INSTANCE_C1, ages)
 

@@ -56,6 +56,15 @@ def test_integral_undiscounted_limit():
     assert value == pytest.approx(p.maint_slope * t * t / 2.0, rel=1e-3)
 
 
+def test_integral_reaches_its_limit_at_huge_ages():
+    # The integral tends to slope / rate^2; past rate * s = 750 the integrand
+    # underflows, so no age can leave the quadrature without panels.
+    p = INSTANCE_C1
+    limit = p.maint_slope / p.interest_rate**2
+    for t in (1e4, 1e300, math.inf):
+        assert integrate_discounted_maintenance(p, t) == pytest.approx(limit, rel=1e-12)
+
+
 def test_integral_validation():
     with pytest.raises(ValueError):
         integrate_discounted_maintenance(INSTANCE_C1, -1.0)
@@ -199,6 +208,15 @@ def test_search_verifies_wide_ratio_assets():
     for _ in range(100):
         p = draw_wide_params(rng)
         assert check_against_search(p, economic_life(p)) is None, p
+
+
+def test_check_against_search_declines_past_the_scan_limit():
+    # The scan must reach twice the full-depreciation age, 1e6 years here,
+    # but stops at rate * age = 686.
+    p = AssetParams(1e6, 1.0, 1.0, 1.0)
+    assert check_against_search(p, economic_life(p)) == (
+        "scan horizon exceeds the scan limit rate*age = 686; not verifiable"
+    )
 
 
 # Interior optimum at rate * age ~ 1e4, far past the scan cap of 686 years:
