@@ -294,6 +294,8 @@ def economic_life(params: AssetParams, rel_tol: float = 0.0) -> EconomicLifeResu
     ``(e^r - 1)(A r + b)/r`` at age zero and
     ``(e^r - 1)/r^2 * (a + A r^2 + a W0(-e^(-1-c)))`` = ``(e^r - 1) a tau / r^2``
     at the interior optimum, rather than re-evaluating the piecewise cost.
+    Both are formed from the scale (e^r - 1)/r, which lies in [1, e - 1], as
+    scale * (A r + b) and scale * a * age, so that no r^2 can underflow.
     ``rel_tol`` is as for :func:`classify`.
     """
     A = params.acquisition_cost
@@ -309,8 +311,8 @@ def economic_life(params: AssetParams, rel_tol: float = 0.0) -> EconomicLifeResu
         interior_age = tau / r
     A_threshold = acquisition_threshold(params) if a > speed else None
 
-    i_eff = math.expm1(r)
-    cost_at_zero = i_eff * (A * r + b) / r
+    scale = math.expm1(r) / r
+    cost_at_zero = scale * (A * r + b)
     flat = _relatively_close(a, speed, rel_tol)
     if tau is None:
         # a >= slope_threshold >= speed: the cost rises beyond the junction.
@@ -322,7 +324,7 @@ def economic_life(params: AssetParams, rel_tol: float = 0.0) -> EconomicLifeResu
         min_cost = cost_at_zero
     elif flat or a < speed:
         case, minimizers = CaseLabel.C5, MinimizerSet.point(interior_age)
-        min_cost = i_eff * a * tau / (r * r)
+        min_cost = scale * a * interior_age
     elif _relatively_close(A, A_threshold, rel_tol):
         case, minimizers = CaseLabel.C4_2, MinimizerSet.pair(0.0, interior_age)
         min_cost = cost_at_zero
@@ -331,7 +333,7 @@ def economic_life(params: AssetParams, rel_tol: float = 0.0) -> EconomicLifeResu
         min_cost = cost_at_zero
     else:
         case, minimizers = CaseLabel.C4_3, MinimizerSet.point(interior_age)
-        min_cost = i_eff * a * tau / (r * r)
+        min_cost = scale * a * interior_age
 
     return EconomicLifeResult(
         case=case,

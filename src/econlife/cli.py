@@ -15,14 +15,13 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import finance_equiv
 from .classifier import economic_life, interior_minimum_age
 from .errors import NumericError
 from .params import AssetParams
 
-__all__ = ["FleetRow", "ResultRow", "main"]
+__all__ = ["main"]
 
 FLEET_INPUT_HEADER = ["id", "acquisition_cost", "maint_slope", "depreciation_rate", "interest_rate"]
 FLEET_OUTPUT_HEADER = [
@@ -35,40 +34,18 @@ FLEET_OUTPUT_HEADER = [
     "error",
 ]
 
-
-@dataclass(frozen=True)
-class FleetRow:
-    """One parsed line of a fleet input file."""
-
-    id: str
-    acquisition_cost: float
-    maint_slope: float
-    depreciation_rate: float
-    interest_rate: float
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    """One line of fleet output; ``error`` is empty for clean rows."""
-
-    id: str
-    case: str = ""
-    econ_life_lo: str = ""
-    econ_life_hi: str = ""
-    secondary_minimizer: str = ""
-    min_annual_cost: str = ""
-    error: str = ""
-
-    def fields(self) -> list[str]:
-        return [
-            self.id,
-            self.case,
-            self.econ_life_lo,
-            self.econ_life_hi,
-            self.secondary_minimizer,
-            self.min_annual_cost,
-            self.error,
-        ]
+# One ``finance`` operation each: (name, help, function, flags in the
+# function's argument order); ``--periods`` takes an integer, the rest floats.
+FINANCE_OPERATIONS = (
+    ("capital-recovery", "level payment repaying a present value",
+     finance_equiv.capital_recovery, ("present", "rate", "periods")),
+    ("present-value", "present value of a level payment",
+     finance_equiv.present_value, ("annuity", "rate", "periods")),
+    ("future-value", "future value of a level deposit",
+     finance_equiv.future_value_of_annuity, ("annuity", "rate", "periods")),
+    ("effective-rate", "effective yearly rate of a compounded nominal rate",
+     finance_equiv.effective_rate, ("nominal", "periods")),
+)
 
 
 def _num(value: float) -> str:
@@ -127,33 +104,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fin = sub.add_parser("finance", help="cash-flow equivalence helpers")
     fin_sub = p_fin.add_subparsers(dest="operation", required=True, parser_class=_Parser)
-
-    p_cr = fin_sub.add_parser("capital-recovery", help="level payment repaying a present value")
-    p_cr.add_argument("--present", type=float, required=True)
-    p_cr.add_argument("--rate", type=float, required=True)
-    p_cr.add_argument("--periods", type=int, required=True)
-    _add_format_flag(p_cr)
-    p_cr.set_defaults(handler=_cmd_finance, compute=lambda a: finance_equiv.capital_recovery(a.present, a.rate, a.periods))
-
-    p_pv = fin_sub.add_parser("present-value", help="present value of a level payment")
-    p_pv.add_argument("--annuity", type=float, required=True)
-    p_pv.add_argument("--rate", type=float, required=True)
-    p_pv.add_argument("--periods", type=int, required=True)
-    _add_format_flag(p_pv)
-    p_pv.set_defaults(handler=_cmd_finance, compute=lambda a: finance_equiv.present_value(a.annuity, a.rate, a.periods))
-
-    p_fv = fin_sub.add_parser("future-value", help="future value of a level deposit")
-    p_fv.add_argument("--annuity", type=float, required=True)
-    p_fv.add_argument("--rate", type=float, required=True)
-    p_fv.add_argument("--periods", type=int, required=True)
-    _add_format_flag(p_fv)
-    p_fv.set_defaults(handler=_cmd_finance, compute=lambda a: finance_equiv.future_value_of_annuity(a.annuity, a.rate, a.periods))
-
-    p_er = fin_sub.add_parser("effective-rate", help="effective yearly rate of a compounded nominal rate")
-    p_er.add_argument("--nominal", type=float, required=True)
-    p_er.add_argument("--periods", type=int, required=True)
-    _add_format_flag(p_er)
-    p_er.set_defaults(handler=_cmd_finance, compute=lambda a: finance_equiv.effective_rate(a.nominal, a.periods))
+    for operation, help_text, function, flags in FINANCE_OPERATIONS:
+        p_op = fin_sub.add_parser(operation, help=help_text)
+        for flag in flags:
+            p_op.add_argument(f"--{flag}", type=int if flag == "periods" else float, required=True)
+        _add_format_flag(p_op)
+        p_op.set_defaults(handler=_cmd_finance, compute=function, inputs=flags)
 
     return parser
 
@@ -188,72 +144,56 @@ def _serialized_minimizers(result) -> tuple[str, str, str]:
     return _num(m.values[0]), _num(m.values[0]), ""
 
 
+def _write(fmt: str, fields: dict[str, str], text: str, indent: int | None = None) -> None:
+    """Print ``fields`` (name -> formatted text) as ``fmt``: the given text,
+    a JSON object or a header and a value line of CSV.
+
+    In JSON every number is a number, the case label a string and a blank
+    optional field ``null``.
+    """
+    if fmt == "text":
+        print(text)
+    elif fmt == "json":
+        print(json.dumps({name: _json_value(value) for name, value in fields.items()}, indent=indent))
+    else:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerow(fields.values())
+
+
+def _json_value(text: str):
+    if not text:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _cmd_classify(args) -> int:
     result = economic_life(_params_from_args(args))
     lo, hi, secondary = _serialized_minimizers(result)
-    if args.format == "text":
-        m = result.minimizers
-        if m.kind == "interval":
-            where = f"all t in [{_num(m.values[0])}, {_num(m.values[1])}]"
-        elif m.kind == "two_points":
-            where = f"t = {_num(m.values[0])} and t = {_num(m.values[1])}"
-        else:
-            where = f"t = {_num(m.values[0])}"
-        lines = [
-            f"case: {result.case.value}",
-            f"minimizers: {where}",
-            f"min annual cost: {_num(result.min_cost)}",
-            f"interior minimum age: {_opt_num(result.interior_minimum_age) or '-'}",
-            f"cost ratio: {_num(result.cost_ratio)}",
-            f"slope threshold: {_num(result.slope_threshold)}",
-            f"acquisition threshold: {_opt_num(result.acquisition_threshold) or '-'}",
-        ]
-        print("\n".join(lines))
-    elif args.format == "json":
-        payload = {
-            "case": result.case.value,
-            "econ_life_lo": float(lo),
-            "econ_life_hi": float(hi),
-            "secondary_minimizer": float(secondary) if secondary else None,
-            "min_annual_cost": float(_num(result.min_cost)),
-            "interior_minimum_age": (
-                None if result.interior_minimum_age is None else float(_num(result.interior_minimum_age))
-            ),
-            "cost_ratio": float(_num(result.cost_ratio)),
-            "slope_threshold": float(_num(result.slope_threshold)),
-            "acquisition_threshold": (
-                None if result.acquisition_threshold is None else float(_num(result.acquisition_threshold))
-            ),
-        }
-        print(json.dumps(payload, indent=2))
+    fields = {
+        "case": result.case.value,
+        "econ_life_lo": lo,
+        "econ_life_hi": hi,
+        "secondary_minimizer": secondary,
+        "min_annual_cost": _num(result.min_cost),
+        "interior_minimum_age": _opt_num(result.interior_minimum_age),
+        "cost_ratio": _num(result.cost_ratio),
+        "slope_threshold": _num(result.slope_threshold),
+        "acquisition_threshold": _opt_num(result.acquisition_threshold),
+    }
+    if secondary:
+        where = f"t = {lo} and t = {secondary}"
+    elif lo == hi:
+        where = f"t = {lo}"
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(
-            [
-                "case",
-                "econ_life_lo",
-                "econ_life_hi",
-                "secondary_minimizer",
-                "min_annual_cost",
-                "interior_minimum_age",
-                "cost_ratio",
-                "slope_threshold",
-                "acquisition_threshold",
-            ]
-        )
-        writer.writerow(
-            [
-                result.case.value,
-                lo,
-                hi,
-                secondary,
-                _num(result.min_cost),
-                _opt_num(result.interior_minimum_age),
-                _num(result.cost_ratio),
-                _num(result.slope_threshold),
-                _opt_num(result.acquisition_threshold),
-            ]
-        )
+        where = f"all t in [{lo}, {hi}]"
+    lines = [f"case: {result.case.value}", f"minimizers: {where}"]
+    # every field after the three minimizer fields, a blank one as "-"
+    lines += [f"{name.replace('_', ' ')}: {value or '-'}" for name, value in list(fields.items())[4:]]
+    _write(args.format, fields, "\n".join(lines), indent=2)
     return 0
 
 
@@ -280,54 +220,35 @@ def _cmd_curve(args) -> int:
     return 0
 
 
-def _parse_fleet_row(line_fields: list[str], seen_ids: set[str]) -> FleetRow:
-    if len(line_fields) != len(FLEET_INPUT_HEADER):
-        raise ValueError(f"expected {len(FLEET_INPUT_HEADER)} fields, got {len(line_fields)}")
-    row_id = line_fields[0]
-    if row_id in seen_ids:
-        raise ValueError(f"duplicate id {row_id!r}")
-    numbers = []
-    for name, text in zip(FLEET_INPUT_HEADER[1:], line_fields[1:]):
-        try:
-            numbers.append(float(text))
-        except ValueError:
-            raise ValueError(f"{name} is not a number: {text!r}") from None
-    return FleetRow(row_id, *numbers)
-
-
-def _process_fleet_row(line_fields: list[str], seen_ids: set[str], verify: bool) -> ResultRow:
-    row_id = line_fields[0] if line_fields else ""
+def _fleet_row(fields: list[str], seen_ids: set[str], verify: bool) -> list[str]:
+    """The output fields of one input line; any failure fills the error column."""
+    row_id = fields[0] if fields else ""
     try:
-        row = _parse_fleet_row(line_fields, seen_ids)
-        params = AssetParams(
-            acquisition_cost=row.acquisition_cost,
-            maint_slope=row.maint_slope,
-            depreciation_rate=row.depreciation_rate,
-            interest_rate=row.interest_rate,
-        )
+        if len(fields) != len(FLEET_INPUT_HEADER):
+            raise ValueError(f"expected {len(FLEET_INPUT_HEADER)} fields, got {len(fields)}")
+        if row_id in seen_ids:
+            raise ValueError(f"duplicate id {row_id!r}")
+        numbers = []
+        for name, text in zip(FLEET_INPUT_HEADER[1:], fields[1:]):
+            try:
+                numbers.append(float(text))
+            except ValueError:
+                raise ValueError(f"{name} is not a number: {text!r}") from None
+        params = AssetParams(*numbers)
         result = economic_life(params)
         if verify:
             discrepancy = check_against_search(params, result)
             if discrepancy is not None:
-                return ResultRow(id=row_id, error=f"verification failed: {discrepancy}")
-        lo, hi, secondary = _serialized_minimizers(result)
-        return ResultRow(
-            id=row_id,
-            case=result.case.value,
-            econ_life_lo=lo,
-            econ_life_hi=hi,
-            secondary_minimizer=secondary,
-            min_annual_cost=_num(result.min_cost),
-        )
+                raise ValueError(f"verification failed: {discrepancy}")
+        return [row_id, result.case.value, *_serialized_minimizers(result), _num(result.min_cost), ""]
     except (ValueError, NumericError) as exc:
-        return ResultRow(id=row_id, error=str(exc))
+        return [row_id, "", "", "", "", "", str(exc)]
 
 
 def _cmd_fleet(args) -> int:
     try:
         with open(args.input, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            rows = list(reader)
+            rows = list(csv.reader(handle))
     except OSError as exc:
         print(f"error: cannot read {args.input!r}: {exc}", file=sys.stderr)
         return 1
@@ -341,17 +262,14 @@ def _cmd_fleet(args) -> int:
 
     seen_ids: set[str] = set()
     results = []
-    for line_fields in rows[1:]:
-        result = _process_fleet_row(line_fields, seen_ids, args.verify)
-        if line_fields:
-            seen_ids.add(line_fields[0])
-        results.append(result)
+    for fields in rows[1:]:
+        results.append(_fleet_row(fields, seen_ids, args.verify))
+        seen_ids.update(fields[:1])  # an id is taken by its first line, valid or not
 
     def write_rows(stream):
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(FLEET_OUTPUT_HEADER)
-        for result in results:
-            writer.writerow(result.fields())
+        writer.writerows(results)
 
     if args.output is None:
         write_rows(sys.stdout)
@@ -362,14 +280,8 @@ def _cmd_fleet(args) -> int:
 
 
 def _cmd_finance(args) -> int:
-    value = args.compute(args)
-    if args.format == "text":
-        print(_num(value))
-    elif args.format == "json":
-        print(json.dumps({"value": float(_num(value))}))
-    else:
-        print("value")
-        print(_num(value))
+    value = _num(args.compute(*(getattr(args, flag) for flag in args.inputs)))
+    _write(args.format, {"value": value}, value)
     return 0
 
 

@@ -1,5 +1,5 @@
 import math
-from decimal import Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -371,3 +371,35 @@ def test_every_result_obeys_its_invariants(draw):
             if t > 0.0 and t == result.interior_minimum_age:
                 assert t > p.junction, p
             assert result.min_cost == pytest.approx(property_cost(p, t), rel=1e-12), p
+
+
+def reference_cost(params: AssetParams, t: float, prec: int = 400) -> Decimal:
+    """The yearly ownership cost at age t > 0 from its cash-flow definition,
+
+        h(t) = (e^r - 1)(A - S(t) e^(-rt) + a/r^2 (1 - e^(-rt)(1 + rt))) / (1 - e^(-rt)),
+
+    with resale value S(t) = max(A - b t, 0), in ``prec``-digit decimal
+    arithmetic.  e^r - 1 keeps its digits only while prec exceeds
+    -log10(r), so a rate of 1e-210 needs well over 210 digits.
+    """
+    with localcontext(Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        A, a, b, r, t = (Decimal(v) for v in (params.acquisition_cost, params.maint_slope,
+                                               params.depreciation_rate, params.interest_rate, t))
+        x = r * t
+        discount = (-x).exp()
+        resale = max(A - b * t, Decimal(0))
+        present = A - resale * discount + a / (r * r) * (1 - discount * (1 + x))
+        return (r.exp() - 1) * present / (1 - discount)
+
+
+def test_min_cost_where_rate_squared_underflows():
+    # r * r underflows to 0 although the cost ratio is 8.9e31, so forming the
+    # interior cost as (e^r - 1) a tau / r^2 divided by zero
+    params = AssetParams(
+        4.97543010107662e280, 1.0055933982423786e-171, 1.1457703164723914e103, 1.3366707472685276e-210
+    )
+    result = economic_life(params)
+    assert result.case is CaseLabel.C5
+    (t,) = result.minimizers.values
+    exact = reference_cost(params, t)
+    assert abs(Decimal(result.min_cost) - exact) <= Decimal("1e-12") * exact

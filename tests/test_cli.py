@@ -25,6 +25,70 @@ case,econ_life_lo,econ_life_hi,secondary_minimizer,min_annual_cost,interior_mini
 C1,0,0,,31.5512754227,,0.1,9.38696899745,23.1435513142
 """
 
+# The tie case C4_2 (acquisition pinned to the tie threshold) and the interval
+# case C2 (slope threshold rounded onto depreciation * rate), the two
+# minimizer kinds besides a single point.
+C4_2_FLAGS = ["--acquisition", "55.4128118829953", "--maint-slope", "5", "--depreciation", "20", "--rate", "0.1"]
+C2_FLAGS = [
+    "--acquisition", "7771.686176112378", "--maint-slope", "2.371737727930388e-16",
+    "--depreciation", "1.5080063814474131e-15", "--rate", "0.15727637211017295",
+]
+
+CLASSIFY_GOLDENS = {
+    ("C4_2", "text"): """\
+case: C4_2
+minimizers: t = 0 and t = 5.10825623766
+min annual cost: 26.861999914
+interior minimum age: 5.10825623766
+cost ratio: 0.110825623766
+slope threshold: 15.8006318075
+acquisition threshold: 55.412811883
+""",
+    ("C4_2", "json"): """\
+{
+  "case": "C4_2",
+  "econ_life_lo": 0.0,
+  "econ_life_hi": 0.0,
+  "secondary_minimizer": 5.10825623766,
+  "min_annual_cost": 26.861999914,
+  "interior_minimum_age": 5.10825623766,
+  "cost_ratio": 0.110825623766,
+  "slope_threshold": 15.8006318075,
+  "acquisition_threshold": 55.412811883
+}
+""",
+    ("C4_2", "csv"): """\
+case,econ_life_lo,econ_life_hi,secondary_minimizer,min_annual_cost,interior_minimum_age,cost_ratio,slope_threshold,acquisition_threshold
+C4_2,0,0,5.10825623766,26.861999914,5.10825623766,0.110825623766,15.8006318075,55.412811883
+""",
+    ("C2", "text"): """\
+case: C2
+minimizers: all t in [0, 5.15361623911e+18]
+min annual cost: 1323.66591688
+interior minimum age: -
+cost ratio: 8.10542065336e+17
+slope threshold: 2.37173772793e-16
+acquisition threshold: -
+""",
+    ("C2", "json"): """\
+{
+  "case": "C2",
+  "econ_life_lo": 0.0,
+  "econ_life_hi": 5.15361623911e+18,
+  "secondary_minimizer": null,
+  "min_annual_cost": 1323.66591688,
+  "interior_minimum_age": null,
+  "cost_ratio": 8.10542065336e+17,
+  "slope_threshold": 2.37173772793e-16,
+  "acquisition_threshold": null
+}
+""",
+    ("C2", "csv"): """\
+case,econ_life_lo,econ_life_hi,secondary_minimizer,min_annual_cost,interior_minimum_age,cost_ratio,slope_threshold,acquisition_threshold
+C2,0,5.15361623911e+18,,1323.66591688,,8.10542065336e+17,2.37173772793e-16,
+""",
+}
+
 CURVE_SMALL = """\
 t,capital_cost,maintenance_cost,property_cost
 0,25.2410203382,0,25.2410203382
@@ -94,6 +158,14 @@ def test_classify_csv_golden(capsys):
     code, out, _ = run_cli(capsys, "classify", *C1_FLAGS, "--format", "csv")
     assert code == 0
     assert out == CLASSIFY_C1_CSV
+
+
+@pytest.mark.parametrize("case, fmt", sorted(CLASSIFY_GOLDENS))
+def test_classify_tie_and_interval_goldens(capsys, case, fmt):
+    flags = C4_2_FLAGS if case == "C4_2" else C2_FLAGS
+    code, out, err = run_cli(capsys, "classify", *flags, "--format", fmt)
+    assert code == 0 and err == ""
+    assert out == CLASSIFY_GOLDENS[case, fmt]
 
 
 def test_classify_is_deterministic(capsys):
@@ -209,6 +281,39 @@ def test_fleet_row_with_underflowing_cost_ratio(tmp_path, capsys):
     )
 
 
+# r * r underflows for this row although its cost ratio is 8.9e31; it used to
+# stop the whole run with a ZeroDivisionError from the interior cost.
+DEFECT_ROW = (
+    "z,4.97543010107662e+280,1.0055933982423786e-171,1.1457703164723914e+103,"
+    "1.3366707472685276e-210\n"
+)
+
+
+def test_fleet_row_with_underflowing_rate_squared(tmp_path, capsys):
+    path = tmp_path / "fleet.csv"
+    path.write_text(FLEET_INPUT + DEFECT_ROW, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "fleet", "--input", str(path))
+    assert code == 0
+    assert out == FLEET_OUTPUT + "z,C5,6.61351982105e+241,6.61351982105e+241,,6.65051187119e+70,\n"
+
+
+def test_fleet_verify_failure_fills_the_error_column(tmp_path, capsys, monkeypatch):
+    # only the row of m2 disagrees with the search; every other row, the
+    # invalid one included, reads as without --verify
+    def check(params, result):
+        return "fixed discrepancy" if params.acquisition_cost == 40.0 else None
+
+    monkeypatch.setattr("econlife.cli.check_against_search", check)
+    path = tmp_path / "fleet.csv"
+    path.write_text(FLEET_INPUT, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "fleet", "--input", str(path), "--verify")
+    assert code == 0
+    assert out == FLEET_OUTPUT.replace(
+        "m2,C4_3,4.2854134374,4.2854134374,,22.5350432772,\n",
+        "m2,,,,,,verification failed: fixed discrepancy\n",
+    )
+
+
 def test_fleet_output_file_and_round_trip(tmp_path, capsys):
     src = tmp_path / "fleet.csv"
     src.write_text(FLEET_INPUT, encoding="utf-8")
@@ -313,6 +418,41 @@ def test_finance_json_and_csv(capsys):
         "--periods", "1", "--format", "csv",
     )
     assert code == 0 and out == "value\n110\n"
+
+
+FINANCE_FLAGS = {
+    "capital-recovery": ["--present", "100", "--rate", "0.1", "--periods", "3"],
+    "present-value": ["--annuity", "110", "--rate", "0.07", "--periods", "5"],
+    "future-value": ["--annuity", "100", "--rate", "0.1", "--periods", "2"],
+    "effective-rate": ["--nominal", "0.1", "--periods", "12"],
+}
+
+
+@pytest.mark.parametrize(
+    "operation, fmt, expected",
+    [
+        ("capital-recovery", "json", '{"value": 40.2114803625}\n'),
+        ("capital-recovery", "csv", "value\n40.2114803625\n"),
+        ("present-value", "json", '{"value": 451.021717954}\n'),
+        ("present-value", "csv", "value\n451.021717954\n"),
+        ("future-value", "json", '{"value": 210.0}\n'),
+        ("future-value", "csv", "value\n210\n"),
+        ("effective-rate", "json", '{"value": 0.104713067441}\n'),
+        ("effective-rate", "csv", "value\n0.104713067441\n"),
+    ],
+)
+def test_finance_json_and_csv_goldens(capsys, operation, fmt, expected):
+    code, out, err = run_cli(capsys, "finance", operation, *FINANCE_FLAGS[operation], "--format", fmt)
+    assert code == 0 and err == ""
+    assert out == expected
+
+
+@pytest.mark.parametrize("operation", sorted(FINANCE_FLAGS))
+def test_finance_missing_flag_exits_1(capsys, operation):
+    flags = FINANCE_FLAGS[operation]
+    code, out, err = run_cli(capsys, "finance", operation, *flags[2:])
+    assert code == 1 and out == ""
+    assert "usage" in err and f"required: {flags[0]}" in err
 
 
 def test_finance_invalid_input_exits_1(capsys):

@@ -35,3 +35,15 @@ def test_public_names_resolve():
 def test_demo_runs(demo):
     done = run_python(str(ROOT / "demos" / demo))
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_names_resolve():
+    # bench/fleetloop.py and bench/tracer.py rebind these module-level names
+    import econlife.cli
+    import econlife.oracle
+
+    for name in econlife.cli.__all__:
+        assert getattr(econlife.cli, name) is not None, name
+    assert callable(econlife.cli.economic_life)
+    assert callable(econlife.cli.check_against_search)
+    assert callable(econlife.oracle.property_cost)
