@@ -134,7 +134,7 @@ def gap(tau):
 
     Its level sets locate the interior critical point of the ownership cost:
     the optimum age satisfies gap(rate * age) == cost_ratio.  Accepts scalars
-    or arrays; arrays are evaluated with numpy.
+    or arrays; an array gets the scalar formula at each element.
     """
     if isinstance(tau, (int, float)):
         if not tau >= 0.0:
@@ -142,12 +142,10 @@ def gap(tau):
         return tau * _gap_ratio(tau)
     import numpy as np
 
-    from .numerics import expm1_minus
-
     arr = np.asarray(tau, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0):
-        raise ValueError("gap is defined for tau >= 0")
-    return expm1_minus(-arr)
+    if arr.ndim == 0:
+        return gap(float(arr))
+    return np.array([gap(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
 
 
 # Below this the direct form 1 + expm1(-x)/x loses ~eps/x of its value to

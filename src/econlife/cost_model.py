@@ -10,9 +10,15 @@ amount, so holding periods of different lengths become directly comparable:
 * ``maintenance_cost``  -- yearly equivalent of the accumulated upkeep to age t
 * ``property_cost``     -- their sum, the quantity minimized by the economic life
 
-All evaluators accept a scalar age or a numpy array of ages, from 0 to inf.
-Age zero is a removable singularity of the closed forms and is defined by its
-limit; from rate * age = 700 on, each cost equals its asymptote.
+Every cost is scale = (e^r - 1)/r, which lies in [1, e - 1], times pieces
+that stay in range.  With x = r t and q = 1 - x/(e^x - 1) in [0, 1), the
+capital cost is scale (A r + c (1 - q)), where c = (A - S(t))/t is the mean
+yearly loss of resale value (b up to the full-depreciation age, A/t past
+it), and the maintenance cost is scale a (q/r).  No piece divides by
+e^x - 1 near 0 or by r^2, so x = 0 (at t = 0, or where r t underflows)
+needs no special case.  All evaluators accept a scalar age or a numpy array
+of ages, from 0 to inf; from rate * age = 700 on, each cost equals its
+asymptote.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SERIES_CUTOFF, expm1_minus_series
 from .params import AssetParams
 
 __all__ = [
@@ -38,10 +43,13 @@ __all__ = [
 ]
 
 # The kernel holds x = r t at this value.  Every cost term is at its
-# asymptote to the last bit there (x e^(-x) < 1e-301, so (e^x - 1 - x)/(e^x - 1)
-# and 1 + 1/(e^x - 1) round to 1), so holding x leaves each cost exact at
-# every larger age, inf included, while e^x - 1 stays inside the double range.
+# asymptote to the last bit there (x/(e^x - 1) < 1e-301, so q rounds to 1),
+# so holding x leaves each cost exact at every larger age, inf included,
+# while e^x - 1 stays inside the double range.
 _HOLD = 700.0
+# Below this x the direct form q = (e^x - 1 - x)/(e^x - 1) loses ~eps/x of its
+# value to cancellation; the series is exact to a few ulp instead.
+_SERIES_CUTOFF = 1e-3
 
 
 @dataclass(frozen=True)
@@ -68,49 +76,46 @@ def _scalar_or_array(values, scalar: bool):
     return float(values[()]) if scalar else values
 
 
-def _terms(r: float, ages):
-    """The terms every cost is built from, at the flat array ``ages``.
+def _kernel(params: AssetParams, ages):
+    """The pieces every cost is built from, at the flat array ``ages``.
 
-    Returns x = r t held at ``_HOLD``, safe = e^x - 1 (1 where that is 0,
-    which happens only at x = 0), d = e^x - 1 - x and the indices of the
-    points with x < SERIES_CUTOFF, where d comes from its series.  Each is a
-    fresh array that the caller may overwrite.
+    With x = r t held at ``_HOLD`` and q = 1 - x/(e^x - 1), returns c, the
+    mean yearly loss of resale value (b up to the junction, A/t past it);
+    p = 1 - q = x/(e^x - 1), in (0, 1]; and m = a (q/r).  Below
+    ``_SERIES_CUTOFF`` both p and m come from the series
+    q/x = 1/2 - x/12 + x^3/720, with m = t (a q/x), so x = 0 needs no special
+    case and m keeps its digits where r t underflows.  Each is a fresh array
+    that the caller may overwrite.
     """
+    a = params.maint_slope
+    r = params.interest_rate
     x = np.multiply(ages, r)
     np.minimum(x, _HOLD, out=x)
-    safe = np.expm1(x)
-    small = np.flatnonzero(x < SERIES_CUTOFF)
-    d = np.subtract(safe, x)
+    p = np.expm1(x)
+    m = np.subtract(p, x)
+    with np.errstate(invalid="ignore"):  # 0/0 at x = 0, where the series takes over
+        m /= p
+        np.divide(x, p, out=p)
+    m /= r
+    m *= a
+    small = np.flatnonzero(x < _SERIES_CUTOFF)
     if small.size:  # most calls have no such point: skip the work on empty arrays
-        d[small] = expm1_minus_series(x[small])
-        safe[small[safe[small] == 0.0]] = 1.0
-    return x, safe, d, small
+        s = x[small]
+        ratio = 0.5 - s * (1.0 / 12.0 - s * s / 720.0)  # q/x
+        m[small] = ages[small] * (a * ratio)
+        p[small] = 1.0 - s * ratio
+    c = x  # x is spent
+    c.fill(params.depreciation_rate)
+    np.divide(params.acquisition_cost, ages, out=c, where=ages > params.junction)
+    return c, p, m
 
 
-def _components(params: AssetParams, ages):
+def _capital_and_maintenance(params: AssetParams, ages):
     """Capital and maintenance cost at the flat array ``ages``."""
-    A = params.acquisition_cost
-    a = params.maint_slope
-    b = params.depreciation_rate
     r = params.interest_rate
-    i_eff = math.expm1(r)
-
-    x, safe, d, small = _terms(r, ages)
-    zero = small[ages[small] == 0.0]
-    # Both branches are evaluated on every point and selected afterwards;
-    # the discarded one may overflow harmlessly.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # Below the junction: A e^(rt) - (A - b t) = A (e^(rt) - 1) + b t,
-        # which avoids the cancellation of the raw difference at small t.
-        g = np.where(
-            ages < params.junction,
-            i_eff * (A + (b / r) * (x / safe)),
-            i_eff * A * (1.0 + 1.0 / safe),
-        )
-    g[zero] = i_eff * (A * r + b) / r
-    f = i_eff * a * (d / safe) / (r * r)
-    f[zero] = 0.0
-    return g, f
+    scale = math.expm1(r) / r
+    c, p, m = _kernel(params, ages)
+    return scale * (params.acquisition_cost * r + c * p), scale * m
 
 
 def maintenance(params: AssetParams, t):
@@ -133,10 +138,10 @@ def capital_cost(params: AssetParams, t):
 
     Buying at age zero and recovering the resale value at age t, discounted
     continuously, then spread into a level annual amount.  At t = 0 the
-    closed form is 0/0 and the continuity limit (e^r - 1)(A r + b)/r is used.
+    value is the continuity limit (e^r - 1)(A r + b)/r.
     """
     arr, scalar = _as_ages(t)
-    g, _ = _components(params, arr.reshape(-1))
+    g, _ = _capital_and_maintenance(params, arr.reshape(-1))
     return _scalar_or_array(g.reshape(arr.shape), scalar)
 
 
@@ -147,7 +152,7 @@ def maintenance_cost(params: AssetParams, t):
     (e^r - 1) a (e^(rt) - 1 - rt) / (r^2 (e^(rt) - 1)), with value 0 at t = 0.
     """
     arr, scalar = _as_ages(t)
-    _, f = _components(params, arr.reshape(-1))
+    _, f = _capital_and_maintenance(params, arr.reshape(-1))
     return _scalar_or_array(f.reshape(arr.shape), scalar)
 
 
@@ -158,44 +163,26 @@ def property_cost(params: AssetParams, t):
     ``params.junction``; continuous there and at t = 0 (limit value
     (e^r - 1)(A r + b)/r).  This is the objective the economic life minimizes.
 
-    With x = r t and safe = e^x - 1 (1 where that is 0), the value is
-    (e^r - 1)/r^2 times a (e^x - 1 - x)/safe + (b r)(x/safe) + A r^2 below the
-    junction and a (e^x - 1 - x)/safe + A r^2 (1 + 1/safe) from it on.  One
-    fused pass works in place on the three arrays of ``_terms``.
+    The value is scale (A r + c (1 - q) + a (q/r)), in one fused pass over
+    the three arrays of the kernel.
     """
     arr, scalar = _as_ages(t)
-    A = params.acquisition_cost
-    a = params.maint_slope
-    b = params.depreciation_rate
     r = params.interest_rate
-    i_eff = math.expm1(r)
-    A_r2 = A * r * r
-
-    ages = arr.reshape(-1)
-    below = ages < params.junction
-    x, em, out, small = _terms(r, ages)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out /= em  # (e^x - 1 - x)/safe, in [0, 1)
-        out *= a
-        x /= em
-        x *= b * r  # below the junction: (b r)(x/safe)
-        np.divide(1.0, em, out=em)
-        em += 1.0
-        em *= A_r2  # from the junction on: A r^2 (1 + 1/safe)
-        np.copyto(em, x, where=below)
-        out += em
-        np.add(out, A_r2, out=out, where=below)
-        out *= i_eff / (r * r)
-    out[small[ages[small] == 0.0]] = i_eff * (A * r + b) / r
+    out, p, m = _kernel(params, arr.reshape(-1))
+    out *= p
+    out += m
+    out += params.acquisition_cost * r
+    out *= math.expm1(r) / r
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
 def property_cost_derivative(params: AssetParams, t):
     """Slope of ``property_cost`` in age, for t > 0 and t != junction.
 
-    Evaluated from the factored forms whose sign structure drives the
-    classification: below the junction the sign is exactly that of
-    (maint_slope - depreciation_rate * interest_rate).  Past rate * age = 700
+    With q' = dq/dx = (x - q)/(e^x - 1), the slope is scale (a - b r) q'
+    below the junction, whose sign is exactly that of
+    (maint_slope - depreciation_rate * interest_rate), and
+    scale (a q' - (A/t)(1 - q)(r + (1 - q)/t)) past it.  Past rate * age = 700
     the evaluated cost is constant and the slope is 0.
     """
     arr, scalar = _as_ages(t)
@@ -206,23 +193,22 @@ def property_cost_derivative(params: AssetParams, t):
             "derivative is one-sided at the full-depreciation age "
             f"junction = {params.junction!r}"
         )
-    A = params.acquisition_cost
     a = params.maint_slope
-    b = params.depreciation_rate
     r = params.interest_rate
-    i_eff = math.expm1(r)
 
     ages = arr.reshape(-1)
-    x, em, d, _ = _terms(r, ages)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # s = (e^x (x - 1) + 1)/(e^x - 1) = x - (e^x - 1 - x)/(e^x - 1);
-        # positive for x > 0 and free of cancellation in this form.
-        s = x - d / em
-        prefactor = i_eff / (r * em)
-        below = prefactor * (a - b * r) * s
-        above = prefactor * (a * s - A * r * r * (1.0 + 1.0 / em))
-        out = np.where(ages < params.junction, below, above)
-    out[r * ages > _HOLD] = 0.0
+    x = r * ages
+    c, p, m = _kernel(params, ages)
+    with np.errstate(invalid="ignore"):  # inf/inf at t = inf, zeroed below
+        dq = (ages - m / a) * p / ages  # (x - q)/(e^x - 1)
+    small = x < _SERIES_CUTOFF
+    dq[small] = 0.5 - x[small] * (1.0 / 6.0 - x[small] ** 2 / 180.0)
+    out = (a - params.depreciation_rate * r) * dq
+    past = ages > params.junction  # where c = A/t
+    c, p, t_past = c[past], p[past], ages[past]
+    out[past] = a * dq[past] - c * p * (r + p / t_past)
+    out *= math.expm1(r) / r
+    out[x > _HOLD] = 0.0
     return _scalar_or_array(out.reshape(arr.shape), scalar)
 
 
@@ -236,7 +222,7 @@ def curve(params: AssetParams, t_max: float, step: float) -> list[CostSample]:
         raise ValueError("curve grid requires 0 < step < t_max < inf")
     count = int(math.floor(t_max / step + 1e-9))
     ages = np.arange(count + 1, dtype=float) * step
-    g, f = _components(params, ages)
+    g, f = _capital_and_maintenance(params, ages)
     h = g + f
     return [
         CostSample(float(ti), float(gi), float(fi), float(hi))

@@ -27,6 +27,11 @@ __all__ = [
 
 #: Grid values within this relative band of the minimum count as tied.
 TIE_RTOL = 1e-12
+#: ``check_against_search`` tolerances: relative for the minimum cost,
+#: absolute (in years) for a point minimizer and for a plateau's ends.
+VALUE_RTOL = 1e-9
+POINT_TOL = 1e-6
+PLATEAU_TOL = 1e-3
 #: A run of at least this many tied grid points is reported as a plateau.
 PLATEAU_MIN_POINTS = 3
 #: ``check_against_search`` scans to at most rate * age = 686.  This bounds the
@@ -320,14 +325,11 @@ def check_against_search(
     params: AssetParams,
     result,
     step: float = 1e-3,
-    value_rtol: float = 1e-9,
-    point_tol: float = 1e-6,
-    plateau_tol: float = 1e-3,
 ) -> str | None:
     """Compare a closed-form classification against the brute-force scan.
 
     Returns None on agreement, otherwise a one-line description of the first
-    discrepancy.  Point minimizers must match within ``point_tol`` (or fall
+    discrepancy.  Point minimizers must match within ``POINT_TOL`` (or fall
     inside a reported plateau: a minimum whose basin is flat to within the
     tie tolerance cannot be localized more tightly by value comparison).
     """
@@ -342,7 +344,7 @@ def check_against_search(
     report = brute_force_minimize(params, t_max, step)
 
     scale = max(abs(result.min_cost), 1e-300)
-    if abs(report.min_value - result.min_cost) > value_rtol * scale:
+    if abs(report.min_value - result.min_cost) > VALUE_RTOL * scale:
         return (
             f"min cost mismatch: closed form {result.min_cost!r} vs "
             f"search {report.min_value!r}"
@@ -353,7 +355,7 @@ def check_against_search(
         if report.plateau is None:
             return "closed form claims an interval of minimizers; search found none"
         lo, hi = claimed.values
-        if abs(report.plateau[0] - lo) > plateau_tol or abs(report.plateau[1] - hi) > plateau_tol:
+        if abs(report.plateau[0] - lo) > PLATEAU_TOL or abs(report.plateau[1] - hi) > PLATEAU_TOL:
             return (
                 f"plateau mismatch: closed form [{lo!r}, {hi!r}] vs "
                 f"search [{report.plateau[0]!r}, {report.plateau[1]!r}]"
@@ -362,9 +364,9 @@ def check_against_search(
 
     for point in claimed.values:
         in_plateau = report.plateau is not None and (
-            report.plateau[0] - plateau_tol <= point <= report.plateau[1] + plateau_tol
+            report.plateau[0] - PLATEAU_TOL <= point <= report.plateau[1] + PLATEAU_TOL
         )
-        near_point = any(abs(point - found) <= point_tol for found in report.argmin_points)
+        near_point = any(abs(point - found) <= POINT_TOL for found in report.argmin_points)
         if not (in_plateau or near_point):
             return (
                 f"minimizer {point!r} not reproduced by search "
@@ -372,6 +374,6 @@ def check_against_search(
             )
     if report.plateau is None:
         for found in report.argmin_points:
-            if not any(abs(point - found) <= point_tol for point in claimed.values):
+            if not any(abs(point - found) <= POINT_TOL for point in claimed.values):
                 return f"search found an extra minimizer at {found!r}"
     return None

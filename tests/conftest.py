@@ -1,6 +1,7 @@
 """Shared fixtures and parameter strategies."""
 
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -47,6 +48,54 @@ def draw_wide_params(rng: np.random.Generator) -> AssetParams:
     c = 10.0 ** rng.uniform(-20.0, 2.0)
     junction = 10.0 ** rng.uniform(-12.0, math.log10(50.0))
     return AssetParams(A, A * r * r / c, A / junction, r)
+
+
+def reference_costs(params: AssetParams, t: float) -> tuple[Decimal, Decimal]:
+    """Capital and maintenance cost at age t >= 0 from their cash-flow definitions,
+
+        g(t) = (e^r - 1)(A - S(t) e^(-x)) / (1 - e^(-x)),
+        f(t) = (e^r - 1)(a/r^2)(1 - e^(-x)(1 + x)) / (1 - e^(-x)),
+
+    with x = r t and resale value S(t) = max(A - b t, 0), in decimal
+    arithmetic; at t = 0 their limits (e^r - 1)(A r + b)/r and 0.  Below
+    x = 1 both differences from 1 are summed as series, and A - S(t) e^(-x)
+    is formed as min(A, b t) + S(t)(1 - e^(-x)), so nothing cancels there.
+    e^r - 1 still loses -log10(r) digits, so the precision grows with it: a
+    rate of 1e-210 needs well over 210 digits.
+    """
+    A, a, b, r, t = (Decimal(v) for v in (params.acquisition_cost, params.maint_slope,
+                                           params.depreciation_rate, params.interest_rate, t))
+    prec = 40 + max(0, -r.adjusted())
+    with localcontext(Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        i_eff = r.exp() - 1
+        x = r * t
+        if not x:
+            return i_eff * (A * r + b) / r, Decimal(0)
+        if x < 1:
+            # 1 - e^(-x) = sum_k>=1 (-1)^(k+1) x^k/k!  and
+            # 1 - e^(-x)(1 + x) = sum_k>=2 -(k - 1) (-1)^(k+1) x^k/k!
+            u = term = x
+            v, k = Decimal(0), 1
+            while True:
+                k += 1
+                term = -term * x / k
+                u += term
+                v -= (k - 1) * term
+                if k * abs(term) <= v.scaleb(-prec):
+                    break
+        else:
+            discount = (-x).exp()
+            u, v = 1 - discount, 1 - discount * (1 + x)
+        resale = max(A - b * t, Decimal(0))
+        g = i_eff * (min(A, b * t) + resale * u) / u
+        f = i_eff * a / (r * r) * v / u
+        return g, f
+
+
+def reference_cost(params: AssetParams, t: float) -> Decimal:
+    """The yearly ownership cost at age t >= 0, capital plus maintenance, in decimal."""
+    g, f = reference_costs(params, t)
+    return g + f
 
 
 @pytest.fixture

@@ -232,6 +232,16 @@ def test_curve_reaches_the_asymptote_past_rate_age_700(capsys):
     assert out == CURVE_FAR
 
 
+def test_curve_where_rate_squared_underflows(capsys):
+    # r^2 = 1e-400 underflows to 0; the maintenance column used to read nan
+    code, out, _ = run_cli(
+        capsys, "curve", "--acquisition", "1", "--maint-slope", "10", "--depreciation", "1",
+        "--rate", "1e-200", "--t-max", "2", "--step", "1",
+    )
+    assert code == 0
+    assert out == "t,capital_cost,maintenance_cost,property_cost\n0,1,0,1\n1,1,5,6\n2,0.5,10,10.5\n"
+
+
 def test_curve_rejects_infinite_horizon(capsys):
     code, _, err = run_cli(capsys, "curve", *C1_FLAGS, "--t-max", "inf", "--step", "1")
     assert code == 1 and "t_max < inf" in err
@@ -295,6 +305,16 @@ def test_fleet_row_with_underflowing_rate_squared(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "fleet", "--input", str(path))
     assert code == 0
     assert out == FLEET_OUTPUT + "z,C5,6.61351982105e+241,6.61351982105e+241,,6.65051187119e+70,\n"
+
+
+def test_fleet_verify_where_rate_squared_underflows(tmp_path, capsys):
+    # The search's cost evaluation divided by r^2 = 0 and stopped the run
+    # with a ZeroDivisionError traceback.
+    path = tmp_path / "fleet.csv"
+    path.write_text(FLEET_INPUT.splitlines(keepends=True)[0] + "c,1,10,1,1e-200\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "fleet", "--input", str(path), "--verify")
+    assert code == 0
+    assert out.splitlines()[1:] == ["c,C1,0,0,,1,"]
 
 
 def test_fleet_verify_failure_fills_the_error_column(tmp_path, capsys, monkeypatch):

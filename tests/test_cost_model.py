@@ -1,13 +1,15 @@
 import math
 import re
+import sys
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import INSTANCE_C1, INSTANCE_C4_3, INSTANCE_FLAT, asset_params
+from conftest import INSTANCE_C1, INSTANCE_C4_3, INSTANCE_FLAT, asset_params, reference_costs
 from econlife import (
     AssetParams,
     capital_cost,
@@ -19,7 +21,6 @@ from econlife import (
     property_cost_derivative,
     salvage,
 )
-from econlife.numerics import expm1_minus
 
 
 @pytest.mark.parametrize(
@@ -243,43 +244,6 @@ def test_curve_input_errors():
             curve(INSTANCE_C1, t_max=t_max, step=step)
 
 
-def test_expm1_minus_matches_blended_series_and_direct_form():
-    # Reference: both forms on every point, blended by the series cutoff.
-    # Evaluating the series only on the small points must not change a bit.
-    tiny_to_one = np.geomspace(1e-300, 1.0, 6001)
-    x = np.concatenate([np.linspace(-5.0, 5.0, 20001), tiny_to_one, -tiny_to_one, [0.0]])
-    x2 = x * x
-    series = 0.5 * x2 * (1.0 + x / 3.0 + x2 / 12.0 + x2 * x / 60.0 + x2 * x2 / 360.0)
-    reference = np.where(np.abs(x) < 1e-3, series, np.expm1(x) - x)
-    out = expm1_minus(x)
-    assert out.shape == x.shape
-    assert np.array_equal(out.view(np.int64), reference.view(np.int64))
-    for i in range(0, x.size, 97):
-        value = expm1_minus(float(x[i]))
-        assert type(value) is float and value == reference[i]
-    assert expm1_minus(0.0) == 0.0 and expm1_minus(np.array(0.0)) == 0.0
-
-
-def reference_property_cost(params, t):
-    """property_cost as both junction branches selected by np.where."""
-    A = params.acquisition_cost
-    a = params.maint_slope
-    b = params.depreciation_rate
-    r = params.interest_rate
-    i_eff = math.expm1(r)
-    arr = np.asarray(t, dtype=float)
-    x = r * arr
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        em = np.expm1(x)
-        safe = np.where(em == 0.0, 1.0, em)
-        ratio = expm1_minus(x) / safe
-        scale = i_eff / (r * r)
-        below = scale * (a * ratio + b * r * (x / safe) + A * r * r)
-        above = scale * (a * ratio + A * r * r * (1.0 + 1.0 / safe))
-        out = np.where(arr < params.junction, below, above)
-    return np.where(arr == 0.0, i_eff * (A * r + b) / r, out)
-
-
 @pytest.mark.parametrize(
     "params",
     [
@@ -291,7 +255,7 @@ def reference_property_cost(params, t):
         AssetParams(1e4, 1.0, 1e3, 1.0),
     ],
 )
-def test_property_cost_is_bit_identical_to_the_branch_formula(params):
+def test_costs_match_the_cash_flow_definition(params):
     r, j = params.interest_rate, params.junction
     cap = 700.0 / r
     ages = np.concatenate(
@@ -305,15 +269,39 @@ def test_property_cost_is_bit_identical_to_the_branch_formula(params):
         ]
     )
     ages = ages[r * ages <= 700.0]
-    expected = reference_property_cost(params, ages)
-    out = property_cost(params, ages)
-    assert out.shape == ages.shape
-    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
-    grid = ages[: 2 * (ages.size // 2)].reshape(2, -1)
-    assert np.array_equal(property_cost(params, grid), expected[: grid.size].reshape(grid.shape))
-    for t, value in zip(ages[::37].tolist(), expected[::37].tolist()):
-        h = property_cost(params, t)
-        assert type(h) is float and h == value
+    reference = [reference_costs(params, t) for t in ages.tolist()]
+    exact = {
+        capital_cost: [g for g, _ in reference],
+        maintenance_cost: [f for _, f in reference],
+        property_cost: [g + f for g, f in reference],
+    }
+    for fn, values in exact.items():
+        out = fn(params, ages)
+        assert out.shape == ages.shape
+        # A value below the normal range holds fewer than 12 digits; there the
+        # bound is absolute, at the least normal double.
+        bound = [Decimal("1e-12") * v + Decimal(sys.float_info.min) for v in values]
+        bad = [(t, h, v) for t, h, v, e in zip(ages.tolist(), out.tolist(), values, bound)
+               if not abs(Decimal(h) - v) <= e]
+        assert not bad, (fn.__name__, bad[:3])
+        grid = ages[: 2 * (ages.size // 2)].reshape(2, -1)
+        assert np.array_equal(fn(params, grid), out[: grid.size].reshape(grid.shape))
+        for t, value in zip(ages[::37].tolist(), out[::37].tolist()):
+            h = fn(params, t)
+            assert type(h) is float and h == value
+
+
+def test_costs_where_rate_times_age_underflows():
+    # r t underflows, or its square does, at ages where the costs are well
+    # inside the double range.
+    assert property_cost(AssetParams(1.0, 1e-10, 1.0, 1e-150), 1e-300) == 1.0
+    assert capital_cost(AssetParams(1.0, 1e-10, 1.0, 1e-150), 1e-300) == 1.0
+    assert maintenance_cost(AssetParams(1.0, 10.0, 1.0, 1e-150), 1e-20) == pytest.approx(5e-20, rel=1e-15)
+    ages = np.array([0.0, 1.0, 2.0])  # the junction lies at 1
+    assert np.array_equal(property_cost(AssetParams(1.0, 10.0, 1.0, 1e-200), ages), [1.0, 6.0, 10.5])
+    for t in (1e-140, 1e-300):
+        slope = property_cost_derivative(AssetParams(1.0, 10.0, 1.0, 1e-150), t)
+        assert slope == pytest.approx(5.0, rel=1e-15)
 
 
 @pytest.mark.parametrize(
