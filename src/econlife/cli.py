@@ -237,9 +237,11 @@ def _fleet_row(fields: list[str], seen_ids: set[str], verify: bool) -> list[str]
         params = AssetParams(*numbers)
         result = economic_life(params)
         if verify:
-            discrepancy = check_against_search(params, result)
-            if discrepancy is not None:
-                raise ValueError(f"verification failed: {discrepancy}")
+            verdict = check_against_search(params, result)
+            if verdict is not None:
+                if not verdict.startswith("verification inconclusive:"):
+                    verdict = f"verification failed: {verdict}"
+                raise ValueError(verdict)
         return [row_id, result.case.value, *_serialized_minimizers(result), _num(result.min_cost), ""]
     except (ValueError, NumericError) as exc:
         return [row_id, "", "", "", "", "", str(exc)]

@@ -6,6 +6,17 @@ and a single grid scan plus batched zoom / quadratic-fit refinement that
 locates the global minimizers of the ownership cost by value comparison alone.
 Tests and the fleet ``--verify`` mode use these to cross-check the
 closed-form path; nothing here is consulted by that path.
+
+The scan need not run to infinity.  With x = rate * age and
+p = x/(e^x - 1), the cost differs from its limit h(inf) by
+scale p (c - a/r), where c <= b is the mean yearly loss of resale value, so
+|h(t) - h(inf)| <= scale p max(b, a/r) on both sides of the
+full-depreciation age.  The flat age is the age from which this bound lies
+inside the tie band of h(inf): past it no value comparison can tell the cost
+from its limit, and ``check_against_search`` stops its scan there.  A check
+gives one of three verdicts: None (agreement), a description of the
+discrepancy, or, when the grid to that horizon would exceed ``GRID_BUDGET``
+points, a message starting "verification inconclusive:".
 """
 
 from __future__ import annotations
@@ -27,16 +38,16 @@ __all__ = [
 
 #: Grid values within this relative band of the minimum count as tied.
 TIE_RTOL = 1e-12
-#: ``check_against_search`` tolerances: relative for the minimum cost,
-#: absolute (in years) for a point minimizer and for a plateau's ends.
+#: ``check_against_search`` tolerances: relative for the minimum cost and for
+#: a point minimizer's age, absolute (in years) for a plateau's ends.
 VALUE_RTOL = 1e-9
-POINT_TOL = 1e-6
+POINT_RTOL = 1e-6
 PLATEAU_TOL = 1e-3
 #: A run of at least this many tied grid points is reported as a plateau.
 PLATEAU_MIN_POINTS = 3
-#: ``check_against_search`` scans to at most rate * age = 686.  This bounds the
-#: grid, 686 / (rate * step) points; the cost itself is exact at every age.
-SCAN_LIMIT = 686.0
+#: ``check_against_search`` declares a row inconclusive, without scanning,
+#: when its grid would hold more points than this.
+GRID_BUDGET = 1 << 24
 # Quadrature panels: 20-node Gauss-Legendre, their count doubled at most
 # _MAX_DOUBLINGS times.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -46,9 +57,8 @@ _MAX_DOUBLINGS = 8
 # no page faults, a 2^16-point one several hundred, and faulting in fresh
 # pages costs more than the arithmetic on them.
 _CHUNK = 1 << 14
-# Each zoom grid narrows a bracket 32-fold, down to this width.
+# Each zoom grid narrows a bracket 32-fold.
 _ZOOM_POINTS = 65
-_ZOOM_WIDTH = 1e-10
 
 
 @dataclass(frozen=True)
@@ -105,9 +115,11 @@ def integrate_discounted_maintenance(params: AssetParams, t: float, tol: float =
 def brute_force_minimize(params: AssetParams, t_max: float, step: float) -> MinimizationReport:
     """Locate all global minimizers of the ownership cost on [0, t_max].
 
-    Scans the grid 0, step, ..., t_max once, refines all candidate basins
-    (grid local minima and the left boundary) together, by repeated 65-point
-    zooms of their brackets to width 1e-10 followed by shrinking quadratic
+    t_max must reach 10 years, and twice the full-depreciation age unless the
+    flat age comes first: past it any kink lies inside the tie band.  Scans
+    the grid 0, step, ..., t_max once, refines all candidate basins (grid
+    local minima and the left boundary) together, by repeated 65-point zooms
+    of their brackets until their values tie followed by shrinking quadratic
     fits, and keeps the basins whose refined values tie the best one within
     ``TIE_RTOL``.  Runs of >= 3 grid points value-tied with the minimum are
     reported as a plateau: there the cost is flat at rounding level and no
@@ -118,7 +130,9 @@ def brute_force_minimize(params: AssetParams, t_max: float, step: float) -> Mini
         raise ValueError("step must be > 0")
     floor = max(2.0 * params.junction, 10.0)
     if t_max < floor:
-        raise ValueError(f"scan horizon t_max must be >= {floor:g} for these parameters")
+        floor = max(min(floor, _flat_age(params)[0]), 10.0)
+        if t_max < floor:
+            raise ValueError(f"scan horizon t_max must be >= {floor:g} for these parameters")
     n = int(math.floor(t_max / step + 1e-9))
 
     h_min, argmin_index, h_zero, basin_indices, chunks = _grid_scan(params, n, step, _CHUNK)
@@ -252,22 +266,34 @@ def _tied_runs(params, step, chunks, threshold):
 def _zoom(params, lo, hi):
     """Best grid point and value in each bracket [lo[k], hi[k]].
 
-    Every level lays a ``_ZOOM_POINTS`` grid over each bracket, in one cost
-    evaluation for all of them, and narrows the bracket to the two spacings
-    around its best point, 1/32 of its width, until all are at most
-    ``_ZOOM_WIDTH`` wide.
+    Every level lays a ``_ZOOM_POINTS`` grid over each bracket still open,
+    in one cost evaluation for all of them, and narrows it to the two
+    spacings around its best point, 1/32 of its width.  A bracket closes once
+    all its values tie its best within ``TIE_RTOL``: value comparison cannot
+    narrow it further.  So the final width follows the cost's own scale: an
+    optimum at 1e-150 y is reached, and a bracket rising from age 0 closes
+    long before subnormal ages.  The level count would narrow the widest
+    bracket below the least positive double, so every bracket closes.
     """
     fractions = np.linspace(0.0, 1.0, _ZOOM_POINTS)
-    rows = np.arange(len(lo))
-    widest = max(float((hi - lo).max()), _ZOOM_WIDTH)
-    levels = max(1, math.ceil(math.log(widest / _ZOOM_WIDTH, (_ZOOM_POINTS - 1) / 2)))
+    best_ages, best_values = np.empty(len(lo)), np.empty(len(lo))
+    open_rows = np.arange(len(lo))
+    widest = max(float((hi - lo).max()), math.ulp(0.0))
+    narrowing = (_ZOOM_POINTS - 1) / 2
+    levels = max(1, math.ceil((math.log(widest) - math.log(math.ulp(0.0))) / math.log(narrowing)))
     for _ in range(levels):
-        ages = lo[:, None] + (hi - lo)[:, None] * fractions
+        ages = lo[open_rows, None] + (hi - lo)[open_rows, None] * fractions
         values = property_cost(params, ages.ravel()).reshape(ages.shape)
+        rows = np.arange(len(open_rows))
         best = np.argmin(values, axis=1)
-        lo = ages[rows, np.maximum(best - 1, 0)]
-        hi = ages[rows, np.minimum(best + 1, _ZOOM_POINTS - 1)]
-    return ages[rows, best], values[rows, best]
+        least = values[rows, best]
+        best_ages[open_rows], best_values[open_rows] = ages[rows, best], least
+        lo[open_rows] = ages[rows, np.maximum(best - 1, 0)]
+        hi[open_rows] = ages[rows, np.minimum(best + 1, _ZOOM_POINTS - 1)]
+        open_rows = open_rows[values.max(axis=1) > least + TIE_RTOL * np.abs(least)]
+        if not open_rows.size:
+            break
+    return best_ages, best_values
 
 
 def _polish(params, v, best, span, levels=12):
@@ -321,6 +347,34 @@ def _polish(params, v, best, span, levels=12):
     return v, best
 
 
+def _flat_age(params: AssetParams) -> tuple[float, float]:
+    """The flat age and the cost's limit h(inf).
+
+    Past the flat age t = x/r, scale p(x) max(b, a/r) <= TIE_RTOL h(inf), so
+    the cost ties its limit.  p(x) = x/(e^x - 1) = eps is solved by the
+    iteration x <- lam + log(x/(1 - e^-x)), lam = log(1/eps): its slope lies
+    in (0, 1/2), and the root in (lam, 2 lam), so from 2 lam it falls to the
+    root without passing it.  The age is 0 where the bound holds at every
+    age, and inf where it cannot be formed.
+    """
+    r = params.interest_rate
+    h_inf = float(property_cost(params, math.inf))
+    bound = math.expm1(r) / r * max(float(params.depreciation_rate), float(params.maint_slope) / r)
+    eps = TIE_RTOL * h_inf / bound
+    if not eps > 0.0:
+        return math.inf, h_inf
+    if eps >= 1.0:
+        return 0.0, h_inf
+    lam = -math.log(eps)
+    x = 2.0 * lam
+    for _ in range(64):
+        below = lam + math.log(x / -math.expm1(-x))
+        if not below < x:
+            break
+        x = below
+    return x / r, h_inf
+
+
 def check_against_search(
     params: AssetParams,
     result,
@@ -328,19 +382,28 @@ def check_against_search(
 ) -> str | None:
     """Compare a closed-form classification against the brute-force scan.
 
-    Returns None on agreement, otherwise a one-line description of the first
-    discrepancy.  Point minimizers must match within ``POINT_TOL`` (or fall
-    inside a reported plateau: a minimum whose basin is flat to within the
-    tie tolerance cannot be localized more tightly by value comparison).
+    Returns None on agreement; a message starting "verification
+    inconclusive:", without scanning, when the grid would hold more than
+    ``GRID_BUDGET`` points; otherwise a one-line description of the first
+    discrepancy.  The scan reaches twice the full-depreciation age, 10 years
+    and 1.5 times the interior age, but stops at the flat age (or 10 years)
+    if that comes first.  Point minimizers must match within ``POINT_RTOL``
+    of their age, or fall inside a reported plateau: a minimum whose basin is
+    flat to within the tie tolerance cannot be localized more tightly by value
+    comparison.  A plateau that reaches the scan's end is read as open,
+    [start, inf), when ``min_cost`` ties h(inf): past the flat age the cost
+    ties its limit, so a claim there agrees.
     """
+    t_flat, h_inf = _flat_age(params)
     t_max = max(2.0 * params.junction, 10.0)
     if result.interior_minimum_age is not None:
         t_max = max(t_max, 1.5 * result.interior_minimum_age)
-    cap = SCAN_LIMIT / params.interest_rate
-    if cap < t_max:
-        if cap < max(2.0 * params.junction, 10.0):
-            return f"scan horizon exceeds the scan limit rate*age = {SCAN_LIMIT:g}; not verifiable"
-        t_max = cap
+    t_max = min(t_max, max(t_flat, 10.0))
+    if t_max / step > GRID_BUDGET:
+        return (
+            f"verification inconclusive: a search to age {t_max:.6g} y needs "
+            f"{t_max / step:.3g} grid points, over the budget of {GRID_BUDGET}"
+        )
     report = brute_force_minimize(params, t_max, step)
 
     scale = max(abs(result.min_cost), 1e-300)
@@ -350,30 +413,41 @@ def check_against_search(
             f"search {report.min_value!r}"
         )
 
+    plateau = report.plateau
+    if (
+        plateau is not None
+        and plateau[1] > t_max - step
+        and abs(h_inf - result.min_cost) <= VALUE_RTOL * scale
+    ):
+        plateau = (plateau[0], math.inf)
+
     claimed = result.minimizers
     if claimed.kind == "interval":
-        if report.plateau is None:
+        if plateau is None:
             return "closed form claims an interval of minimizers; search found none"
         lo, hi = claimed.values
-        if abs(report.plateau[0] - lo) > PLATEAU_TOL or abs(report.plateau[1] - hi) > PLATEAU_TOL:
+        hi_agrees = abs(plateau[1] - hi) <= PLATEAU_TOL or plateau[1] == math.inf and hi > t_max
+        if abs(plateau[0] - lo) > PLATEAU_TOL or not hi_agrees:
             return (
                 f"plateau mismatch: closed form [{lo!r}, {hi!r}] vs "
-                f"search [{report.plateau[0]!r}, {report.plateau[1]!r}]"
+                f"search [{plateau[0]!r}, {plateau[1]!r}]"
             )
         return None
 
+    def near(u: float, v: float) -> bool:
+        return abs(u - v) <= POINT_RTOL * max(u, v)
+
     for point in claimed.values:
-        in_plateau = report.plateau is not None and (
-            report.plateau[0] - PLATEAU_TOL <= point <= report.plateau[1] + PLATEAU_TOL
+        in_plateau = plateau is not None and (
+            plateau[0] - PLATEAU_TOL <= point <= plateau[1] + PLATEAU_TOL
         )
-        near_point = any(abs(point - found) <= POINT_TOL for found in report.argmin_points)
-        if not (in_plateau or near_point):
+        if not (in_plateau or any(near(point, found) for found in report.argmin_points)):
             return (
                 f"minimizer {point!r} not reproduced by search "
-                f"(found {report.argmin_points!r}, plateau {report.plateau!r})"
+                f"(found {report.argmin_points!r}, plateau {plateau!r})"
             )
-    if report.plateau is None:
+    if plateau is None:
         for found in report.argmin_points:
-            if not any(abs(point - found) <= POINT_TOL for point in claimed.values):
+            if not any(near(point, found) for point in claimed.values):
                 return f"search found an extra minimizer at {found!r}"
     return None

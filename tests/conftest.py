@@ -7,14 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from econlife import AssetParams, interior_minimum_age
+from econlife import AssetParams
 
 # Sampling ranges used for randomized checks: acquisition in [1, 1e4],
 # full-depreciation age in [0.1, 50] years, rate in [0.01, 1], maintenance
-# slope in [0.01, 1e3].  Instances whose scaled interior age would approach
-# the search's scan limit (rate * age = 686) are rejected where a brute-force
-# scan is involved.
-MAX_SCALED_AGE = 460.0
+# slope in [0.01, 1e3].
 
 
 @st.composite
@@ -26,18 +23,13 @@ def asset_params(draw):
     return AssetParams(acquisition, slope, acquisition / dep_age, rate)
 
 
-def draw_params(rng: np.random.Generator, scan_safe: bool = False) -> AssetParams:
-    """One random instance; optionally keep the interior optimum scannable."""
-    while True:
-        acquisition = rng.uniform(1.0, 1e4)
-        dep_age = rng.uniform(0.1, 50.0)
-        rate = rng.uniform(0.01, 1.0)
-        slope = 10.0 ** rng.uniform(-2.0, 3.0)
-        params = AssetParams(acquisition, slope, acquisition / dep_age, rate)
-        if not scan_safe:
-            return params
-        if rate * interior_minimum_age(params) <= MAX_SCALED_AGE:
-            return params
+def draw_params(rng: np.random.Generator) -> AssetParams:
+    """One random instance."""
+    acquisition = rng.uniform(1.0, 1e4)
+    dep_age = rng.uniform(0.1, 50.0)
+    rate = rng.uniform(0.01, 1.0)
+    slope = 10.0 ** rng.uniform(-2.0, 3.0)
+    return AssetParams(acquisition, slope, acquisition / dep_age, rate)
 
 
 def draw_wide_params(rng: np.random.Generator) -> AssetParams:

@@ -161,7 +161,7 @@ def test_criterion_07_classifier_agrees_with_search():
     with criterion(7, "closed-form minimizers reproduced by grid search on 1000 instances"):
         rng = np.random.default_rng(20240817)
         for _ in range(1000):
-            p = draw_params(rng, scan_safe=True)
+            p = draw_params(rng)
             result = economic_life(p)
             discrepancy = check_against_search(p, result, step=1e-3)
             assert discrepancy is None, f"{p}: {discrepancy}"

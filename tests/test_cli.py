@@ -317,6 +317,27 @@ def test_fleet_verify_where_rate_squared_underflows(tmp_path, capsys):
     assert out.splitlines()[1:] == ["c,C1,0,0,,1,"]
 
 
+def test_fleet_verify_reaches_an_optimum_far_below_the_grid(tmp_path, capsys):
+    # The optimum lies at 1.4e-150 y.  The search's zoom used to stop at a
+    # fixed width of 1e-10 y and reported a false "min cost mismatch".
+    path = tmp_path / "fleet.csv"
+    path.write_text(FLEET_INPUT.splitlines(keepends=True)[0] + "x,1e-300,1,1,1\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "fleet", "--input", str(path), "--verify")
+    assert code == 0
+    assert out.splitlines()[1:] == ["x,C5,1.41421356237e-150,1.41421356237e-150,,2.43001746579e-150,"]
+
+
+def test_fleet_verify_inconclusive_is_not_a_failure(tmp_path, capsys):
+    # the search grid to where this cost flattens exceeds the budget
+    path = tmp_path / "fleet.csv"
+    path.write_text(FLEET_INPUT.splitlines(keepends=True)[0] + "y,1,1e-12,1,1e-5\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "fleet", "--input", str(path), "--verify")
+    assert code == 0
+    row = list(csv.DictReader(io.StringIO(out)))[0]
+    assert row["case"] == ""
+    assert row["error"].startswith("verification inconclusive: ")
+
+
 def test_fleet_verify_failure_fills_the_error_column(tmp_path, capsys, monkeypatch):
     # only the row of m2 disagrees with the search; every other row, the
     # invalid one included, reads as without --verify
@@ -397,7 +418,7 @@ def test_fleet_unreadable_file_exits_1(tmp_path, capsys):
 def test_fleet_verify_clean_on_random_rows(tmp_path, capsys, rng):
     lines = ["id,acquisition_cost,maint_slope,depreciation_rate,interest_rate"]
     for i in range(50):
-        p = draw_params(rng, scan_safe=True)
+        p = draw_params(rng)
         lines.append(
             f"asset{i:02d},{p.acquisition_cost!r},{p.maint_slope!r},"
             f"{p.depreciation_rate!r},{p.interest_rate!r}"

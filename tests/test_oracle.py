@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -190,14 +191,16 @@ def test_polish_undoes_a_fit_that_climbs_from_age_zero():
     # The optimum lies at 8.7e-8 y, past a full-depreciation age of 1.8e-10 y.
     # The first parabola fit spans age 0, where the cost is 250 times higher,
     # and its vertex lies uphill; keeping it lost the optimum.
-    # It was reported at 1.18e-7 y, inside check_against_search's absolute
-    # 1e-6 y point tolerance, so only the report itself shows the miss.
+    # It was reported at 1.18e-7 y, 36% off but inside an absolute 1e-6 y
+    # point tolerance; the relative tolerance rejects such a location.
     p = AssetParams(6556.142437440896, 1.737249962132903e18, 36409508719914.875, 0.21780982627826878)
     result = economic_life(p)
     report = brute_force_minimize(p, _scan_horizon(p), 1e-3)
     assert report.argmin_points == pytest.approx([result.interior_minimum_age], rel=1e-9)
     assert report.min_value == pytest.approx(result.min_cost, rel=1e-12)
     assert check_against_search(p, result) is None
+    doctored = dataclasses.replace(result, minimizers=type(result.minimizers).point(1.178e-7))
+    assert "not reproduced" in check_against_search(p, doctored)
 
 
 def test_search_verifies_wide_ratio_assets():
@@ -210,13 +213,45 @@ def test_search_verifies_wide_ratio_assets():
         assert check_against_search(p, economic_life(p)) is None, p
 
 
-def test_check_against_search_declines_past_the_scan_limit():
-    # The scan must reach twice the full-depreciation age, 1e6 years here,
-    # but stops at rate * age = 686.
+def test_check_against_search_agrees_past_the_horizon():
+    # The optimum lies at 1,000,001 y, past the full-depreciation age of 1e6 y.
+    # From about 17 y on the cost ties its limit h(inf), so the scan stops
+    # there and reads its tied tail as a plateau open to infinity.
     p = AssetParams(1e6, 1.0, 1.0, 1.0)
-    assert check_against_search(p, economic_life(p)) == (
-        "scan horizon exceeds the scan limit rate*age = 686; not verifiable"
-    )
+    assert check_against_search(p, economic_life(p)) is None
+
+
+def test_check_against_search_is_inconclusive_over_the_grid_budget():
+    # The optimum lies at 1.01e7 y and the cost reaches its limit only at
+    # about 4.3e6 y: a 1e-3 y grid that far exceeds the budget, so the check
+    # declines at once, without scanning.
+    p = AssetParams(1.0, 1e-12, 1.0, 1e-5)
+    start = time.perf_counter()
+    verdict = check_against_search(p, economic_life(p))
+    assert time.perf_counter() - start < 1.0
+    assert verdict.startswith("verification inconclusive: ")
+
+
+def test_check_against_search_work_is_bounded_past_the_horizon(monkeypatch):
+    # Optima past rate * age = 686: a scan cut at 686 / rate would exceed
+    # the bound several times over; the scan to the flat age stays within it.
+    rng = np.random.default_rng(1)
+    far = [AssetParams(1e6, 1.0, 1.0, 1.0)]
+    while len(far) < 4:
+        p = draw_params(rng)
+        if economic_life(p).minimizers.values[-1] * p.interest_rate > 686.0:
+            far.append(p)
+    counted = [0]  # ages at which the oracle evaluates the cost
+
+    def counting(params, t):
+        counted[0] += np.size(t)
+        return property_cost(params, t)
+
+    monkeypatch.setattr(oracle, "property_cost", counting)
+    for p in far:
+        counted[0] = 0
+        assert check_against_search(p, economic_life(p)) is None, p
+        assert counted[0] <= 100.0 / (p.interest_rate * 1e-3) + 2**17, p
 
 
 # Interior optimum at rate * age ~ 1e4, far past the scan cap of 686 years:
