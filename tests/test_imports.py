@@ -1,8 +1,12 @@
 """The scalar path stays free of numpy, and the public names and demos work."""
 
+import ast
+import io
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -35,6 +39,27 @@ def test_public_names_resolve():
 def test_demo_runs(demo):
     done = run_python(str(ROOT / "demos" / demo))
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_example():
+    # README's python block runs, and the comment on each expression line
+    # starts with the repr of that expression's value
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    comments = {
+        tok.start[0]: tok.string.lstrip("#").strip().split("  ")[0]
+        for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    namespace, checked = {}, 0
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr) and stmt.lineno in comments:
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert repr(value) == comments[stmt.lineno], ast.unparse(stmt)
+            checked += 1
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert checked
 
 
 def test_cli_names_resolve():
