@@ -19,8 +19,7 @@ in the scaled age tau = rate * age, with c the cost ratio.  Its argument lies
 floating point rounds small cost ratios onto the branch point and cancels
 every digit of 1 + c + W0.  ``econlife.lambert_w`` therefore solves for tau
 from c directly, from the exact branch offset; this module keeps only the
-case analysis.  Everything here is scalar ``math``; numpy is imported only
-when ``gap`` gets an array.
+case analysis.  Everything here is scalar ``math``.
 """
 
 from __future__ import annotations
@@ -130,23 +129,15 @@ class EconomicLifeResult:
     acquisition_threshold: float | None
 
 
-def gap(tau):
+def gap(tau: float) -> float:
     """tau - 1 + e**(-tau): strictly increasing from 0 on tau >= 0.
 
     Its level sets locate the interior critical point of the ownership cost:
-    the optimum age satisfies gap(rate * age) == cost_ratio.  Accepts scalars
-    or arrays; an array gets the scalar formula at each element.
+    the optimum age satisfies gap(rate * age) == cost_ratio.
     """
-    if isinstance(tau, (int, float)):
-        if not tau >= 0.0:
-            raise ValueError("gap is defined for tau >= 0")
-        return tau * _gap_ratio(tau)
-    import numpy as np
-
-    arr = np.asarray(tau, dtype=float)
-    if arr.ndim == 0:
-        return gap(float(arr))
-    return np.array([gap(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
+    if not tau >= 0.0:
+        raise ValueError("gap is defined for tau >= 0")
+    return tau * _gap_ratio(tau)
 
 
 # Below this the direct form 1 + expm1(-x)/x loses ~eps/x of its value to
@@ -279,6 +270,9 @@ def economic_life(params: AssetParams) -> EconomicLifeResult:
         else:
             case, minimizers = CaseLabel.C1, MinimizerSet.point(0.0)
         min_cost = cost_at_zero
+    elif interior_age == math.inf and (flat or a < speed or A <= A_threshold):
+        # C5, C4_2 or C4_3: the interior optimum is a minimizer
+        raise ValueError(f"interior optimum age tau/r = {tau!r}/{r!r} overflows the float range")
     elif flat or a < speed:
         case, minimizers = CaseLabel.C5, MinimizerSet.point(interior_age)
         min_cost = scale * a * interior_age

@@ -110,12 +110,30 @@ def _kernel(params: AssetParams, ages):
     return c, p, m
 
 
+def cost_pieces(params: AssetParams, ages):
+    """Capital piece D = c p, maintenance piece I = m and cost h at flat ``ages``.
+
+    D never rises with age and I never falls, so on a cell [u, v] of ages h
+    lies between ``cost_of_pieces`` of D(v), I(u) and of D(u), I(v).
+    """
+    d, p, m = _kernel(params, ages)
+    d *= p
+    return d, m, cost_of_pieces(params, d, m)
+
+
+def cost_of_pieces(params: AssetParams, capital, maintenance):
+    """scale (A r + capital + maintenance), summed as every cost is."""
+    total = np.add(capital, maintenance)
+    total += params.acquisition_cost * params.interest_rate
+    total *= math.expm1(params.interest_rate) / params.interest_rate
+    return total
+
+
 def _capital_and_maintenance(params: AssetParams, ages):
     """Capital and maintenance cost at the flat array ``ages``."""
-    r = params.interest_rate
-    scale = math.expm1(r) / r
-    c, p, m = _kernel(params, ages)
-    return scale * (params.acquisition_cost * r + c * p), scale * m
+    d, p, m = _kernel(params, ages)
+    d *= p
+    return cost_of_pieces(params, d, 0.0), math.expm1(params.interest_rate) / params.interest_rate * m
 
 
 def maintenance(params: AssetParams, t):
@@ -163,16 +181,10 @@ def property_cost(params: AssetParams, t):
     ``params.junction``; continuous there and at t = 0 (limit value
     (e^r - 1)(A r + b)/r).  This is the objective the economic life minimizes.
 
-    The value is scale (A r + c (1 - q) + a (q/r)), in one fused pass over
-    the three arrays of the kernel.
+    The value is scale (A r + c (1 - q) + a (q/r)), from ``cost_pieces``.
     """
     arr, scalar = _as_ages(t)
-    r = params.interest_rate
-    out, p, m = _kernel(params, arr.reshape(-1))
-    out *= p
-    out += m
-    out += params.acquisition_cost * r
-    out *= math.expm1(r) / r
+    _, _, out = cost_pieces(params, arr.reshape(-1))
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 

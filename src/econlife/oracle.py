@@ -2,9 +2,9 @@
 
 Two derivative-free tools, deliberately ignorant of the classification
 machinery: Gauss-Legendre quadrature for the discounted-maintenance integral,
-and a single grid scan plus batched zoom / quadratic-fit refinement that
-locates the global minimizers of the ownership cost by value comparison alone.
-Tests and the fleet ``--verify`` mode use these to cross-check the
+and a branch-and-bound grid scan plus batched zoom / quadratic-fit refinement
+that locates the global minimizers of the ownership cost by value comparison
+alone.  Tests and the fleet ``--verify`` mode use these to cross-check the
 closed-form path; nothing here is consulted by that path.
 
 The scan need not run to infinity.  With x = rate * age and
@@ -15,7 +15,7 @@ full-depreciation age.  The flat age is the age from which this bound lies
 inside the tie band of h(inf): past it no value comparison can tell the cost
 from its limit, and ``check_against_search`` stops its scan there.  A check
 gives one of three verdicts: None (agreement), a description of the
-discrepancy, or, when the grid to that horizon would exceed ``GRID_BUDGET``
+discrepancy, or, when the scan would evaluate more than ``GRID_BUDGET``
 points, a message starting "verification inconclusive:".
 """
 
@@ -25,8 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view as windows
 
-from .cost_model import AssetParams, property_cost
+from .cost_model import AssetParams, cost_of_pieces, cost_pieces, property_cost
 from .errors import NumericError
 
 __all__ = [
@@ -45,18 +46,19 @@ POINT_RTOL = 1e-6
 PLATEAU_TOL = 1e-3
 #: A run of at least this many tied grid points is reported as a plateau.
 PLATEAU_MIN_POINTS = 3
-#: ``check_against_search`` declares a row inconclusive, without scanning,
-#: when its grid would hold more points than this.
-GRID_BUDGET = 1 << 24
+#: ``brute_force_minimize`` gives up, and ``check_against_search`` calls the
+#: row inconclusive, when the scan would evaluate more grid points than this.
+GRID_BUDGET = 1 << 18
+#: The grid step of ``check_against_search``, in years.
+GRID_STEP = 1e-3
 # Quadrature panels: 20-node Gauss-Legendre, their count doubled at most
 # _MAX_DOUBLINGS times.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _MAX_DOUBLINGS = 8
-# Grid points per cost evaluation of the scan.  At this size each call's
-# work arrays reuse memory the previous call freed: a 2^14-point call takes
-# no page faults, a 2^16-point one several hundred, and faulting in fresh
-# pages costs more than the arithmetic on them.
-_CHUNK = 1 << 14
+# A scan cell wider than this many indices is split this many ways.
+_SPLIT = 64
+# Factors widening a scan cell's (lower, upper) cost bound for rounded pieces.
+_BOUND_SLACK = 1.0 + np.array([-64.0, 64.0]) * np.finfo(float).eps
 # Each zoom grid narrows a bracket 32-fold.
 _ZOOM_POINTS = 65
 
@@ -117,14 +119,15 @@ def brute_force_minimize(params: AssetParams, t_max: float, step: float) -> Mini
 
     t_max must reach 10 years, and twice the full-depreciation age unless the
     flat age comes first: past it any kink lies inside the tie band.  Scans
-    the grid 0, step, ..., t_max once, refines all candidate basins (grid
-    local minima and the left boundary) together, by repeated 65-point zooms
-    of their brackets until their values tie followed by shrinking quadratic
-    fits, and keeps the basins whose refined values tie the best one within
-    ``TIE_RTOL``.  Runs of >= 3 grid points value-tied with the minimum are
-    reported as a plateau: there the cost is flat at rounding level and no
-    value comparison can single out a point.  Uses only value comparisons of
-    ``property_cost``.
+    the grid 0, step, ..., t_max once, by branch and bound (``_scan``),
+    refines all candidate basins (grid local minima and the ends) together,
+    by repeated 65-point zooms of their brackets until their values tie
+    followed by shrinking quadratic fits, and keeps the basins whose refined
+    values tie the best one within ``TIE_RTOL``.  Runs of >= 3 grid points
+    value-tied with the minimum are reported as a plateau: there the cost is
+    flat at rounding level and no value comparison can single out a point.
+    Uses only value comparisons of the cost.  Raises NumericError when the
+    scan would evaluate more than ``GRID_BUDGET`` points.
     """
     if not step > 0.0:
         raise ValueError("step must be > 0")
@@ -133,19 +136,18 @@ def brute_force_minimize(params: AssetParams, t_max: float, step: float) -> Mini
         floor = max(min(floor, _flat_age(params)[0]), 10.0)
         if t_max < floor:
             raise ValueError(f"scan horizon t_max must be >= {floor:g} for these parameters")
+    if not t_max / step < 2.0**62:  # grid indices are 64-bit integers
+        raise NumericError("the grid holds more than 2^62 points")
     n = int(math.floor(t_max / step + 1e-9))
 
-    h_min, argmin_index, h_zero, basin_indices, chunks = _grid_scan(params, n, step, _CHUNK)
-    threshold = h_min + TIE_RTOL * abs(h_min)
-    runs = _tied_runs(params, step, chunks, threshold)
+    indices, values = _scan(params, n, step)
+    best = int(np.argmin(values))
+    h_min, argmin_index, h_zero = float(values[best]), int(indices[best]), float(values[0])
+    runs = _tied_runs(indices, values <= h_min + TIE_RTOL * abs(h_min))
+    start, end = max(runs, key=lambda run: run[1] - run[0])
+    plateau = (start * step, end * step) if end - start + 1 >= PLATEAU_MIN_POINTS else None
 
-    plateau = None
-    plateau_runs = [run for run in runs if run[1] - run[0] + 1 >= PLATEAU_MIN_POINTS]
-    if plateau_runs:
-        widest = max(plateau_runs, key=lambda run: run[1] - run[0])
-        plateau = (widest[0] * step, widest[1] * step)
-
-    indices = np.array(sorted(set(basin_indices) | {argmin_index}))
+    indices = np.array(sorted(set(_basins(indices, values)) | {argmin_index}))
     locations, values = _zoom(
         params, np.maximum(indices - 1, 0) * step, np.minimum(indices + 1, n) * step
     )
@@ -186,81 +188,78 @@ def brute_force_minimize(params: AssetParams, t_max: float, step: float) -> Mini
 _MAX_BASINS = 16
 
 
-def _grid_ages(lo, hi, step):
-    """Ages of the grid indices lo..hi-1, in one allocation."""
-    ages = np.arange(lo, hi, dtype=float)
-    ages *= step
-    return ages
+def _scan(params, n, step):
+    """The grid points that can tie the grid's minimum, by branch and bound.
 
-
-def _grid_scan(params, n, step, chunk):
-    """One pass over the grid indices 0..n, ``chunk`` indices at a time.
-
-    Returns the grid minimum, its index, the cost at age 0, the candidate
-    basin indices (strict local minima, and each end where the cost does not
-    rise towards it) and the (lo, hi, low, high) of each chunk: its index
-    range [lo, hi) and its least and greatest value.
+    A cell [lo, hi] of grid indices carries the pieces D and I of
+    ``cost_pieces`` at both ends.  D never rises and I never falls, so each
+    cost in it lies between the cost of D(hi) and I(lo) and that of D(lo)
+    and I(hi).  Each level drops the cells whose lower bound lies above the
+    tie threshold of the least value so far and keeps those whose upper bound
+    does not; in one cost evaluation it fills in the other cells of at most
+    ``_SPLIT`` indices and splits the rest ``_SPLIT`` ways, until no cell is
+    left to split; a level past ``GRID_BUDGET`` points raises NumericError.
+    Returns the evaluated indices in increasing order and their costs.
     """
-    h_min = math.inf
-    argmin_index = 0
-    candidates: list[tuple[float, int]] = []
-    chunks: list[tuple[int, int, float, float]] = []
-    carry = np.empty(0)
-    for lo in range(0, n + 1, chunk):
-        hi = min(lo + chunk, n + 1)
-        values = property_cost(params, _grid_ages(lo, hi, step))
-        i = int(np.argmin(values))
-        if values[i] < h_min:
-            h_min = float(values[i])
-            argmin_index = lo + i
-        if lo == 0:
-            h_zero = float(values[0])
-            left_basin = len(values) < 2 or values[0] <= values[1]
-        chunks.append((lo, hi, float(values[i]), float(values.max())))
-        extended = np.concatenate([carry, values])
-        interior = extended[1:-1]
-        strict = np.flatnonzero((interior < extended[:-2]) & (interior < extended[2:]))
-        for j in strict:
-            index = lo - len(carry) + int(j) + 1
-            candidates.append((float(extended[int(j) + 1]), index))
-        candidates = sorted(candidates)[:_MAX_BASINS]
-        carry = extended[-2:]
-    basins = [index for _, index in candidates]
-    if left_basin:
-        basins.append(0)
-    if n >= 1 and carry.size == 2 and carry[1] <= carry[0]:
-        basins.append(n)
-    return h_min, argmin_index, h_zero, basins, chunks
+    steps = np.arange(_SPLIT + 1)
+    ends = np.unique(np.array([0, n]))
+    d, i, h = cost_pieces(params, ends * step)
+    indices, values, h_min = [ends], [h], float(h.min())
+    spans = np.array([[0, n]])[: int(n > 0)]
+    pieces = np.stack([d, i], axis=-1)[[0, -1]][None][: int(n > 0)]  # [cell, end, (D, I)]
+    while True:
+        threshold = h_min + TIE_RTOL * abs(h_min)
+        lower, upper = (cost_of_pieces(params, pieces[:, ::-1, 0], pieces[:, :, 1]) * _BOUND_SLACK).T
+        keep = lower <= threshold
+        split = keep & (upper > threshold)
+        if not split.any():
+            break
+        kept_spans, kept_pieces = spans[keep & ~split], pieces[keep & ~split]
+        spans, pieces = spans[split], pieces[split]
+
+        widths = spans[:, 1] - spans[:, 0]
+        small = widths <= _SPLIT
+        gaps = widths[small] - 1
+        inside = np.repeat(spans[small, 0] + 1 - (np.cumsum(gaps) - gaps), gaps) + np.arange(gaps.sum())
+        wide = widths[~small, None]
+        cuts = spans[~small, :1] + (wide // _SPLIT) * steps + (wide % _SPLIT) * steps // _SPLIT
+        new = np.concatenate([inside, cuts[:, 1:-1].ravel()])
+        if new.size + sum(map(len, indices)) > GRID_BUDGET:
+            raise NumericError(f"the scan needs more than {GRID_BUDGET} cost evaluations")
+        d, i, h = cost_pieces(params, new * step)
+        indices.append(new)
+        values.append(h)
+        h_min = min(h_min, float(h.min(initial=math.inf)))
+
+        cut_pieces = np.stack([d, i], axis=-1)[inside.size :].reshape(-1, _SPLIT - 1, 2)
+        edges = np.concatenate([pieces[~small, :1], cut_pieces, pieces[~small, 1:]], axis=1)
+        spans = np.concatenate([kept_spans, windows(cuts, 2, axis=1).reshape(-1, 2)])
+        pieces = np.concatenate([kept_pieces, windows(edges, 2, axis=1).swapaxes(2, 3).reshape(-1, 2, 2)])
+    indices, values = np.concatenate(indices), np.concatenate(values)
+    order = np.argsort(indices)
+    return indices[order], values[order]
 
 
-def _tied_runs(params, step, chunks, threshold):
-    """Inclusive (start, end) index runs where the grid ties the minimum.
+def _basins(indices, values):
+    """The ``_MAX_BASINS`` least strict local minima of evaluated neighbours, and the ends."""
+    adjacent = np.diff(indices) == 1
+    falls, rises = values[1:] < values[:-1], values[1:] > values[:-1]
+    strict = 1 + np.flatnonzero(adjacent[:-1] & adjacent[1:] & falls[:-1] & rises[1:])
+    strict = strict[np.lexsort((indices[strict], values[strict]))[:_MAX_BASINS]]
+    first = [] if (adjacent[:1] & falls[:1]).any() else [0]
+    last = [] if (adjacent[-1:] & rises[-1:]).any() else [int(indices[-1])]
+    return indices[strict].tolist() + first + last
 
-    Only a chunk whose value range straddles ``threshold`` is evaluated
-    again: one wholly above it ends any open run, and one wholly at or below
-    it extends the open run or starts one.
+
+def _tied_runs(indices, tied):
+    """Inclusive (start, end) index runs of the grid points that tie.
+
+    A point the scan skipped ties exactly when the two ends of its cell do:
+    the bounds of a dropped cell put all its points above the threshold, and
+    those of a kept cell put them all at or below it.
     """
-    runs: list[tuple[int, int]] = []
-    start = None
-    for lo, hi, low, high in chunks:
-        if low > threshold:
-            flips = [] if start is None else [lo]
-        elif high <= threshold:
-            flips = [lo] if start is None else []
-        else:
-            tied = property_cost(params, _grid_ages(lo, hi, step)) <= threshold
-            before = np.concatenate(([start is not None], tied[:-1]))
-            flips = (lo + np.flatnonzero(tied != before)).tolist()
-        # Flips alternate: each one starts a run or ends the open one.
-        for flip in flips:
-            if start is None:
-                start = flip
-            else:
-                runs.append((start, flip - 1))
-                start = None
-    if start is not None:
-        runs.append((start, chunks[-1][1] - 1))
-    return runs
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], tied, [0])).astype(np.int8)))
+    return list(zip(indices[edges[::2]].tolist(), indices[edges[1::2] - 1].tolist()))
 
 
 def _zoom(params, lo, hi):
@@ -375,36 +374,30 @@ def _flat_age(params: AssetParams) -> tuple[float, float]:
     return x / r, h_inf
 
 
-def check_against_search(
-    params: AssetParams,
-    result,
-    step: float = 1e-3,
-) -> str | None:
+def check_against_search(params: AssetParams, result) -> str | None:
     """Compare a closed-form classification against the brute-force scan.
 
     Returns None on agreement; a message starting "verification
-    inconclusive:", without scanning, when the grid would hold more than
-    ``GRID_BUDGET`` points; otherwise a one-line description of the first
-    discrepancy.  The scan reaches twice the full-depreciation age, 10 years
-    and 1.5 times the interior age, but stops at the flat age (or 10 years)
-    if that comes first.  Point minimizers must match within ``POINT_RTOL``
-    of their age, or fall inside a reported plateau: a minimum whose basin is
-    flat to within the tie tolerance cannot be localized more tightly by value
-    comparison.  A plateau that reaches the scan's end is read as open,
-    [start, inf), when ``min_cost`` ties h(inf): past the flat age the cost
-    ties its limit, so a claim there agrees.
+    inconclusive:" when the scan, on a ``GRID_STEP`` grid, would evaluate
+    more than ``GRID_BUDGET`` points; otherwise a one-line description of
+    the first discrepancy.  The scan reaches twice the full-depreciation
+    age, 10 years and 1.5 times the interior age, but stops at the flat age
+    (or 10 years) if that comes first.  Point minimizers must match within
+    ``POINT_RTOL`` of their age, or fall inside a reported plateau: a
+    minimum whose basin is flat to within the tie tolerance cannot be
+    localized more tightly by value comparison.  A plateau that reaches the
+    scan's end is read as open, [start, inf), when ``min_cost`` ties h(inf):
+    past the flat age the cost ties its limit, so a claim there agrees.
     """
     t_flat, h_inf = _flat_age(params)
     t_max = max(2.0 * params.junction, 10.0)
     if result.interior_minimum_age is not None:
         t_max = max(t_max, 1.5 * result.interior_minimum_age)
     t_max = min(t_max, max(t_flat, 10.0))
-    if t_max / step > GRID_BUDGET:
-        return (
-            f"verification inconclusive: a search to age {t_max:.6g} y needs "
-            f"{t_max / step:.3g} grid points, over the budget of {GRID_BUDGET}"
-        )
-    report = brute_force_minimize(params, t_max, step)
+    try:
+        report = brute_force_minimize(params, t_max, GRID_STEP)
+    except NumericError as exc:
+        return f"verification inconclusive: to age {t_max:.6g} y, {exc}"
 
     scale = max(abs(result.min_cost), 1e-300)
     if abs(report.min_value - result.min_cost) > VALUE_RTOL * scale:
@@ -416,7 +409,7 @@ def check_against_search(
     plateau = report.plateau
     if (
         plateau is not None
-        and plateau[1] > t_max - step
+        and plateau[1] > t_max - GRID_STEP
         and abs(h_inf - result.min_cost) <= VALUE_RTOL * scale
     ):
         plateau = (plateau[0], math.inf)

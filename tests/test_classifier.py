@@ -48,8 +48,7 @@ def bisect_gap_level(level: float, tol: float = 1e-13) -> float:
 def test_gap_values():
     assert gap(0.0) == 0.0
     assert gap(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-    taus = np.linspace(0.0, 50.0, 400)
-    values = gap(taus)
+    values = [gap(tau) for tau in np.linspace(0.0, 50.0, 400).tolist()]
     assert all(b > a for a, b in zip(values, values[1:]))
     with pytest.raises(ValueError):
         gap(-0.1)
@@ -222,6 +221,13 @@ def test_economic_life_over_the_whole_domain():
 def test_economic_life_names_an_overflowing_cost_ratio():
     p = AssetParams(1e300, 1e-300, 1.0, 1.0)  # A r^2 / a = 1e600
     with pytest.raises(ValueError, match=r"cost ratio A\*r\^2/a .* overflows"):
+        economic_life(p)
+
+
+def test_economic_life_names_an_overflowing_interior_optimum():
+    # c = 4.5e288 is in range, but the optimum age tau/r = 9.4e404 y is not
+    p = AssetParams(2.848728396932309e237, 1.4657058823610626e-284, 1.2066850579075393e183, 4.831403811351561e-117)
+    with pytest.raises(ValueError, match=r"^interior optimum age tau/r = .* overflows the float range$"):
         economic_life(p)
 
 

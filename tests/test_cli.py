@@ -342,7 +342,8 @@ def test_fleet_verify_reaches_an_optimum_far_below_the_grid(tmp_path, capsys):
 
 
 def test_fleet_verify_inconclusive_is_not_a_failure(tmp_path, capsys):
-    # the search grid to where this cost flattens exceeds the budget
+    # the search to where this cost flattens needs more cost evaluations
+    # than the budget allows
     path = tmp_path / "fleet.csv"
     path.write_text(FLEET_INPUT.splitlines(keepends=True)[0] + "y,1,1e-12,1,1e-5\n", encoding="utf-8")
     code, out, _ = run_cli(capsys, "fleet", "--input", str(path), "--verify")

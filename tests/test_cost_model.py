@@ -9,18 +9,26 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import INSTANCE_C1, INSTANCE_C4_3, INSTANCE_FLAT, asset_params, reference_costs
+from conftest import (
+    INSTANCE_C1,
+    INSTANCE_C4_3,
+    INSTANCE_FLAT,
+    asset_params,
+    draw_params,
+    draw_wide_params,
+    reference_costs,
+)
 from econlife import (
     AssetParams,
     capital_cost,
     curve,
     maintenance,
     maintenance_cost,
-    oracle,
     property_cost,
     property_cost_derivative,
     salvage,
 )
+from econlife.cost_model import cost_of_pieces, cost_pieces
 
 
 @pytest.mark.parametrize(
@@ -321,9 +329,9 @@ def test_property_cost_age_errors(ages, message):
 
 
 def test_property_cost_allocates_at_most_four_and_a_half_arrays():
-    # A scan chunk's evaluation holds three work arrays and two boolean
-    # masks; a fresh temporary per operation would hold eight or more.
-    n = oracle._CHUNK
+    # An evaluation holds the kernel's three work arrays, the sum and two
+    # boolean masks; a fresh temporary per operation would hold eight or more.
+    n = 2**14
     ages = np.arange(n, dtype=float) * 1e-3
     property_cost(INSTANCE_C4_3, ages)
     tracemalloc.start()
@@ -333,3 +341,24 @@ def test_property_cost_allocates_at_most_four_and_a_half_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * 8 * n
+
+
+@pytest.mark.parametrize("draw", [draw_params, draw_wide_params])
+def test_cost_pieces_bound_the_cost_on_every_cell(rng, draw):
+    # D never rises with age and I never falls, so on a cell [u, v] the cost
+    # of D(v) and I(u) bounds the cost from below and that of D(u) and I(v)
+    # from above, up to rounding: the search drops and ties cells by these.
+    slack = 1.0 + 64.0 * np.finfo(float).eps
+    for _ in range(300):
+        p = draw(rng)
+        r = p.interest_rate
+        spread = 10.0 ** rng.uniform(-12.0, math.log10(0.6), 2)
+        for centre in (p.junction, 5e-4 / r, 2e3 / r, 10.0 ** rng.uniform(-3.0, 3.0) / r):
+            # across the junction, below x = 1e-3, past x = 700, anywhere
+            u, v = centre * (1.0 - spread[0]), centre * (1.0 + spread[1])
+            d, i, h_ends = cost_pieces(p, np.array([u, v]))
+            lower = float(cost_of_pieces(p, d[1], i[0]))
+            upper = float(cost_of_pieces(p, d[0], i[1]))
+            h = np.append(property_cost(p, rng.uniform(u, v, 16)), h_ends)
+            assert np.all(lower <= h * slack), (p, u, v)
+            assert np.all(h <= upper * slack), (p, u, v)

@@ -26,6 +26,7 @@ from econlife import (
     oracle,
     property_cost,
 )
+from econlife.cost_model import cost_pieces
 
 
 def discounted_maintenance_antiderivative(params, t):
@@ -223,8 +224,10 @@ def test_check_against_search_agrees_past_the_horizon():
 
 def test_check_against_search_is_inconclusive_over_the_grid_budget():
     # The optimum lies at 1.01e7 y and the cost reaches its limit only at
-    # about 4.3e6 y: a 1e-3 y grid that far exceeds the budget, so the check
-    # declines at once, without scanning.
+    # about 4.3e6 y.  Across that flat stretch the cost's two pieces cancel,
+    # so their bounds settle few cells of the 1e-3 y grid: the scan would
+    # evaluate more points than the budget allows, and the check gives up as
+    # soon as a level of the scan would pass it.
     p = AssetParams(1.0, 1e-12, 1.0, 1e-5)
     start = time.perf_counter()
     verdict = check_against_search(p, economic_life(p))
@@ -241,13 +244,18 @@ def test_check_against_search_work_is_bounded_past_the_horizon(monkeypatch):
         p = draw_params(rng)
         if economic_life(p).minimizers.values[-1] * p.interest_rate > 686.0:
             far.append(p)
-    counted = [0]  # ages at which the oracle evaluates the cost
+    counted = [0]  # ages at which the oracle evaluates the cost or its pieces
 
     def counting(params, t):
         counted[0] += np.size(t)
         return property_cost(params, t)
 
+    def counting_pieces(params, t):
+        counted[0] += np.size(t)
+        return cost_pieces(params, t)
+
     monkeypatch.setattr(oracle, "property_cost", counting)
+    monkeypatch.setattr(oracle, "cost_pieces", counting_pieces)
     for p in far:
         counted[0] = 0
         assert check_against_search(p, economic_life(p)) is None, p
@@ -275,9 +283,11 @@ EXACT_TIE = AssetParams(acquisition_threshold(INSTANCE_C4_1), 5.0, 20.0, 0.1)
     ids=["C1", "C4_3", "plateau", "exact_tie", "capped_tied_tail"],
 )
 def test_scan_is_chunk_invariant(monkeypatch, params, t_max, step):
-    # Between them these grids hold chunks wholly above the tie threshold,
+    # Between them these grids hold cells wholly above the tie threshold,
     # wholly at or below it (the plateau and the tied tail) and across it,
-    # the three cases _tied_runs settles differently.
+    # the three cases the scan settles differently.  However finely it splits
+    # its cells, it finds the grid minimum and the tied runs of the whole
+    # grid, and evaluates no point twice.
     n = int(math.floor(t_max / step + 1e-9))
     values = property_cost(params, np.arange(n + 1, dtype=float) * step)
     h_min = float(values.min())
@@ -286,10 +296,23 @@ def test_scan_is_chunk_invariant(monkeypatch, params, t_max, step):
     whole_grid_runs = list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
     reports = []
-    for chunk in (7, 64, oracle._CHUNK):
-        h, _, _, _, chunks = oracle._grid_scan(params, n, step, chunk)
-        assert h == h_min
-        assert oracle._tied_runs(params, step, chunks, threshold) == whole_grid_runs
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    for split in (2, 7, oracle._SPLIT):
+        monkeypatch.setattr(oracle, "_SPLIT", split)
+        indices, scanned = oracle._scan(params, n, step)
+        assert np.array_equal(indices, np.unique(indices))
+        assert np.array_equal(scanned, values[indices])
+        assert scanned.min() == h_min
+        assert oracle._tied_runs(indices, scanned <= threshold) == whole_grid_runs
         reports.append(brute_force_minimize(params, t_max, step))
-    assert reports[0] == reports[1] == reports[2]
+    assert len({(report.plateau, report.min_value) for report in reports}) == 1
+    if reports[0].plateau is None:
+        assert reports[0].argmin_points == reports[1].argmin_points == reports[2].argmin_points
+    else:  # any tied point may stand for a plateau that holds every refined basin
+        assert all(reports[0].plateau[0] <= report.argmin_points[0] <= reports[0].plateau[1] for report in reports)
+
+
+def test_search_verifies_a_row_whose_grid_holds_ten_billion_points():
+    # The flat age lies at about 2.35e7 y, so the 1e-3 y grid to it holds
+    # 2.35e10 points, yet the cost bounds settle almost all of them unevaluated.
+    p = AssetParams(97190.81438747907, 3.6293333163775402e-06, 2.3092237057599535e-06, 1.322188696851144e-06)
+    assert check_against_search(p, economic_life(p)) is None
