@@ -22,10 +22,7 @@ instances = [
 
 for title, params in instances:
     result = economic_life(params)
-    horizon = max(2.0 * params.junction, 10.0)
-    if result.interior_minimum_age is not None:
-        horizon = max(horizon, 1.5 * result.interior_minimum_age)
-    report = brute_force_minimize(params, horizon, step=1e-3)
+    report = brute_force_minimize(params)
 
     print(f"{title}  ({result.case.value})")
     print(f"  closed form: minimizers {tuple(round(v, 9) for v in result.minimizers.values)}"

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import finance_equiv
-from .classifier import economic_life, interior_minimum_age
+from .classifier import economic_life
 from .errors import NumericError
 from .params import AssetParams
 
@@ -203,7 +203,8 @@ def _cmd_curve(args) -> int:
     params = _params_from_args(args)
     t_max = args.t_max
     if t_max is None:
-        t_max = 2.0 * max(params.junction, interior_minimum_age(params))
+        age = economic_life(params).interior_minimum_age
+        t_max = 2.0 * (params.junction if age is None else max(params.junction, age))
     step = args.step if args.step is not None else t_max / 500.0
     samples = curve(params, t_max, step)
     writer = csv.writer(sys.stdout, lineterminator="\n")

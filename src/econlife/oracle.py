@@ -7,16 +7,19 @@ that locates the global minimizers of the ownership cost by value comparison
 alone.  Tests and the fleet ``--verify`` mode use these to cross-check the
 closed-form path; nothing here is consulted by that path.
 
-The scan need not run to infinity.  With x = rate * age and
-p = x/(e^x - 1), the cost differs from its limit h(inf) by
-scale p (c - a/r), where c <= b is the mean yearly loss of resale value, so
-|h(t) - h(inf)| <= scale p max(b, a/r) on both sides of the
-full-depreciation age.  The flat age is the age from which this bound lies
-inside the tie band of h(inf): past it no value comparison can tell the cost
-from its limit, and ``check_against_search`` stops its scan there.  A check
+The scan runs to infinity: its last cell, the tail [T, inf), carries at its
+open end the limits D = 0 and I = a/r of the cost's pieces, so it is bounded
+like every other cell and dropped, kept as a plateau open to infinity, or cut
+at 2T, ..., 64T into finite cells and a new tail.  T is the flat age.  With
+x = rate * age and p = x/(e^x - 1), the cost differs from its limit h(inf)
+by scale p (c - a/r), where c <= b is the mean yearly loss of resale value,
+so past the flat age, where scale p max(b, a/r) lies inside the tie band of
+h(inf), the tail's bounds span at most two tie bands.  h(inf) joins the
+least value, so both ends of a kept cell, the tail's too, cost at least that
+value, and its unevaluated costs lie at most one tie band below it.  A check
 gives one of three verdicts: None (agreement), a description of the
-discrepancy, or, when the scan would evaluate more than ``GRID_BUDGET``
-points, a message starting "verification inconclusive:".
+discrepancy, or, when the scan gives up, a message starting "verification
+inconclusive:".
 """
 
 from __future__ import annotations
@@ -49,14 +52,19 @@ PLATEAU_MIN_POINTS = 3
 #: ``brute_force_minimize`` gives up, and ``check_against_search`` calls the
 #: row inconclusive, when the scan would evaluate more grid points than this.
 GRID_BUDGET = 1 << 18
-#: The grid step of ``check_against_search``, in years.
+#: The grid step of ``brute_force_minimize``, in years.
 GRID_STEP = 1e-3
 # Quadrature panels: 20-node Gauss-Legendre, their count doubled at most
 # _MAX_DOUBLINGS times.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _MAX_DOUBLINGS = 8
-# A scan cell wider than this many indices is split this many ways.
+# A scan cell wider than this many indices is split this many ways, and the
+# tail [T, inf) is cut at 2T, ..., _SPLIT T.
 _SPLIT = 64
+# Grid indices are 64-bit: the scan gives up rather than cut the tail at
+# _INDEX_LIMIT or past it.  _OPEN marks the tail's open end.
+_INDEX_LIMIT = 1 << 62
+_OPEN = (1 << 63) - 1
 # Factors widening a scan cell's (lower, upper) cost bound for rounded pieces.
 _BOUND_SLACK = 1.0 + np.array([-64.0, 64.0]) * np.finfo(float).eps
 # Each zoom grid narrows a bracket 32-fold.
@@ -68,15 +76,23 @@ class MinimizationReport:
     """Outcome of a brute-force scan of the ownership cost.
 
     argmin_points holds the refined minimizer locations; plateau is the span
-    of value-tied grid points when the minimum is flat at grid resolution.
+    of value-tied grid points when the minimum is flat at grid resolution,
+    with an end of inf when the cost ties its minimum at every larger age.
     Every reported point attains min_value to within the tie tolerance.
     """
 
     argmin_points: tuple[float, ...]
     plateau: tuple[float, float] | None
     min_value: float
-    grid_step: float
     refinements: int
+
+
+class ScanGaveUp(NumericError):
+    """The scan stopped early; ``least`` is the least cost it evaluated, h(inf) included."""
+
+    def __init__(self, reason: str, least: float):
+        super().__init__(reason)
+        self.least = least
 
 
 def integrate_discounted_maintenance(params: AssetParams, t: float, tol: float = 1e-10) -> float:
@@ -114,43 +130,33 @@ def integrate_discounted_maintenance(params: AssetParams, t: float, tol: float =
     )
 
 
-def brute_force_minimize(params: AssetParams, t_max: float, step: float) -> MinimizationReport:
-    """Locate all global minimizers of the ownership cost on [0, t_max].
+def brute_force_minimize(params: AssetParams) -> MinimizationReport:
+    """Locate all global minimizers of the ownership cost on [0, inf).
 
-    t_max must reach 10 years, and twice the full-depreciation age unless the
-    flat age comes first: past it any kink lies inside the tie band.  Scans
-    the grid 0, step, ..., t_max once, by branch and bound (``_scan``),
-    refines all candidate basins (grid local minima and the ends) together,
-    by repeated 65-point zooms of their brackets until their values tie
-    followed by shrinking quadratic fits, and keeps the basins whose refined
-    values tie the best one within ``TIE_RTOL``.  Runs of >= 3 grid points
-    value-tied with the minimum are reported as a plateau: there the cost is
-    flat at rounding level and no value comparison can single out a point.
-    Uses only value comparisons of the cost.  Raises NumericError when the
-    scan would evaluate more than ``GRID_BUDGET`` points.
+    Scans the ``GRID_STEP`` grid once, by branch and bound (``_scan``) with
+    its first cut at the flat age or 10 years, refines all candidate basins
+    (grid local minima and the ends) together, by repeated 65-point zooms of
+    their brackets until their values tie followed by shrinking quadratic
+    fits, and keeps the basins whose refined values tie the best one within
+    ``TIE_RTOL``.  Runs of >= 3 grid points value-tied with the minimum, a
+    kept tail's included, are reported as a plateau: there the cost is flat
+    at rounding level and no value comparison can single out a point.  Uses
+    only value comparisons of the cost.  Raises ``ScanGaveUp`` when the scan
+    gives up.
     """
-    if not step > 0.0:
-        raise ValueError("step must be > 0")
-    floor = max(2.0 * params.junction, 10.0)
-    if t_max < floor:
-        floor = max(min(floor, _flat_age(params)[0]), 10.0)
-        if t_max < floor:
-            raise ValueError(f"scan horizon t_max must be >= {floor:g} for these parameters")
-    if not t_max / step < 2.0**62:  # grid indices are 64-bit integers
-        raise NumericError("the grid holds more than 2^62 points")
-    n = int(math.floor(t_max / step + 1e-9))
+    step = GRID_STEP
+    n = int(min(max(_flat_age(params), 10.0) / step + 1e-9, (_INDEX_LIMIT - 1) // _SPLIT))
 
-    indices, values = _scan(params, n, step)
-    best = int(np.argmin(values))
-    h_min, argmin_index, h_zero = float(values[best]), int(indices[best]), float(values[0])
+    indices, values, h_min, tied_tail = _scan(params, n, step)
+    argmin_index, h_zero = int(indices[np.argmin(values)]), float(values[0])
     runs = _tied_runs(indices, values <= h_min + TIE_RTOL * abs(h_min))
+    if tied_tail:
+        runs[-1] = (runs[-1][0], math.inf)
     start, end = max(runs, key=lambda run: run[1] - run[0])
     plateau = (start * step, end * step) if end - start + 1 >= PLATEAU_MIN_POINTS else None
 
     indices = np.array(sorted(set(_basins(indices, values)) | {argmin_index}))
-    locations, values = _zoom(
-        params, np.maximum(indices - 1, 0) * step, np.minimum(indices + 1, n) * step
-    )
+    locations, values = _zoom(params, np.maximum(indices - 1, 0) * step, (indices + 1) * step)
     locations, values = _polish(params, locations, values, step)
     # The first two brackets reach down to age 0, whose cost the grid holds.
     at_zero = (indices <= 1) & (h_zero <= values)
@@ -177,7 +183,6 @@ def brute_force_minimize(params: AssetParams, t_max: float, step: float) -> Mini
         argmin_points=tuple(points),
         plateau=plateau,
         min_value=best_value,
-        grid_step=step,
         refinements=len(refined),
     )
 
@@ -189,24 +194,26 @@ _MAX_BASINS = 16
 
 
 def _scan(params, n, step):
-    """The grid points that can tie the grid's minimum, by branch and bound.
+    """The grid points that can tie the cost's minimum, by branch and bound.
 
     A cell [lo, hi] of grid indices carries the pieces D and I of
-    ``cost_pieces`` at both ends.  D never rises and I never falls, so each
-    cost in it lies between the cost of D(hi) and I(lo) and that of D(lo)
-    and I(hi).  Each level drops the cells whose lower bound lies above the
-    tie threshold of the least value so far and keeps those whose upper bound
-    does not; in one cost evaluation it fills in the other cells of at most
-    ``_SPLIT`` indices and splits the rest ``_SPLIT`` ways, until no cell is
-    left to split; a level past ``GRID_BUDGET`` points raises NumericError.
-    Returns the evaluated indices in increasing order and their costs.
+    ``cost_pieces`` at both ends, and the tail [s, inf), s >= n, their limits
+    at its open end.  D never rises and I never falls, so each cost in a cell
+    lies between the cost of D(hi) and I(lo) and that of D(lo) and I(hi).
+    Each level drops the cells whose lower bound lies above the tie threshold
+    of the least value so far (h(inf) included) and keeps those whose upper
+    bound does not; in one cost evaluation it fills in the other cells of at
+    most ``_SPLIT`` indices and splits the rest ``_SPLIT`` ways, the tail at
+    2s, ..., ``_SPLIT`` s, until no cell is left to split.  Raises
+    ``ScanGaveUp`` past ``GRID_BUDGET`` points or ``_INDEX_LIMIT``.  Returns
+    the evaluated indices in increasing order, their costs, the least value
+    and whether the tail, from the last index on, is kept.
     """
     steps = np.arange(_SPLIT + 1)
-    ends = np.unique(np.array([0, n]))
-    d, i, h = cost_pieces(params, ends * step)
-    indices, values, h_min = [ends], [h], float(h.min())
-    spans = np.array([[0, n]])[: int(n > 0)]
-    pieces = np.stack([d, i], axis=-1)[[0, -1]][None][: int(n > 0)]  # [cell, end, (D, I)]
+    d, i, h = cost_pieces(params, np.array([0.0, n * step, math.inf]))
+    indices, values, h_min = [np.array([0, n])], [h[:2]], float(h.min())
+    spans = np.array([[0, n], [n, _OPEN]])
+    pieces = np.stack([d, i], axis=-1)[[[0, 1], [1, 2]]]  # [cell, end, (D, I)]
     while True:
         threshold = h_min + TIE_RTOL * abs(h_min)
         lower, upper = (cost_of_pieces(params, pieces[:, ::-1, 0], pieces[:, :, 1]) * _BOUND_SLACK).T
@@ -223,9 +230,15 @@ def _scan(params, n, step):
         inside = np.repeat(spans[small, 0] + 1 - (np.cumsum(gaps) - gaps), gaps) + np.arange(gaps.sum())
         wide = widths[~small, None]
         cuts = spans[~small, :1] + (wide // _SPLIT) * steps + (wide % _SPLIT) * steps // _SPLIT
+        tail = cuts[:, -1] == _OPEN
+        if tail.any():
+            start = int(cuts[tail, 0][0])
+            if start * _SPLIT >= _INDEX_LIMIT:
+                raise ScanGaveUp("the scan needs more than 2^62 grid points", h_min)
+            cuts[tail, :-1] = start * steps[1:]
         new = np.concatenate([inside, cuts[:, 1:-1].ravel()])
         if new.size + sum(map(len, indices)) > GRID_BUDGET:
-            raise NumericError(f"the scan needs more than {GRID_BUDGET} cost evaluations")
+            raise ScanGaveUp(f"the scan needs more than {GRID_BUDGET} cost evaluations", h_min)
         d, i, h = cost_pieces(params, new * step)
         indices.append(new)
         values.append(h)
@@ -237,7 +250,7 @@ def _scan(params, n, step):
         pieces = np.concatenate([kept_pieces, windows(edges, 2, axis=1).swapaxes(2, 3).reshape(-1, 2, 2)])
     indices, values = np.concatenate(indices), np.concatenate(values)
     order = np.argsort(indices)
-    return indices[order], values[order]
+    return indices[order], values[order], h_min, bool(keep[spans[:, 1] == _OPEN].any())
 
 
 def _basins(indices, values):
@@ -346,8 +359,8 @@ def _polish(params, v, best, span, levels=12):
     return v, best
 
 
-def _flat_age(params: AssetParams) -> tuple[float, float]:
-    """The flat age and the cost's limit h(inf).
+def _flat_age(params: AssetParams) -> float:
+    """The age past which the cost ties its limit h(inf).
 
     Past the flat age t = x/r, scale p(x) max(b, a/r) <= TIE_RTOL h(inf), so
     the cost ties its limit.  p(x) = x/(e^x - 1) = eps is solved by the
@@ -357,13 +370,12 @@ def _flat_age(params: AssetParams) -> tuple[float, float]:
     age, and inf where it cannot be formed.
     """
     r = params.interest_rate
-    h_inf = float(property_cost(params, math.inf))
     bound = math.expm1(r) / r * max(float(params.depreciation_rate), float(params.maint_slope) / r)
-    eps = TIE_RTOL * h_inf / bound
+    eps = TIE_RTOL * float(property_cost(params, math.inf)) / bound
     if not eps > 0.0:
-        return math.inf, h_inf
+        return math.inf
     if eps >= 1.0:
-        return 0.0, h_inf
+        return 0.0
     lam = -math.log(eps)
     x = 2.0 * lam
     for _ in range(64):
@@ -371,56 +383,43 @@ def _flat_age(params: AssetParams) -> tuple[float, float]:
         if not below < x:
             break
         x = below
-    return x / r, h_inf
+    return x / r
 
 
 def check_against_search(params: AssetParams, result) -> str | None:
     """Compare a closed-form classification against the brute-force scan.
 
-    Returns None on agreement; a message starting "verification
-    inconclusive:" when the scan, on a ``GRID_STEP`` grid, would evaluate
-    more than ``GRID_BUDGET`` points; otherwise a one-line description of
-    the first discrepancy.  The scan reaches twice the full-depreciation
-    age, 10 years and 1.5 times the interior age, but stops at the flat age
-    (or 10 years) if that comes first.  Point minimizers must match within
-    ``POINT_RTOL`` of their age, or fall inside a reported plateau: a
-    minimum whose basin is flat to within the tie tolerance cannot be
-    localized more tightly by value comparison.  A plateau that reaches the
-    scan's end is read as open, [start, inf), when ``min_cost`` ties h(inf):
-    past the flat age the cost ties its limit, so a claim there agrees.
+    Reads only ``result.min_cost`` and ``result.minimizers``.  Returns None on
+    agreement; a message starting "verification inconclusive:" when
+    ``brute_force_minimize`` gives up and no cost it evaluated undercuts
+    ``min_cost``; otherwise a one-line description of the first discrepancy.
+    Point minimizers must match within ``POINT_RTOL`` of their age, or fall
+    inside a reported plateau: a minimum whose basin is flat to within the
+    tie tolerance cannot be localized more tightly by value comparison.  A
+    plateau that reaches inf contains every claimed optimum past its start.
     """
-    t_flat, h_inf = _flat_age(params)
-    t_max = max(2.0 * params.junction, 10.0)
-    if result.interior_minimum_age is not None:
-        t_max = max(t_max, 1.5 * result.interior_minimum_age)
-    t_max = min(t_max, max(t_flat, 10.0))
-    try:
-        report = brute_force_minimize(params, t_max, GRID_STEP)
-    except NumericError as exc:
-        return f"verification inconclusive: to age {t_max:.6g} y, {exc}"
-
     scale = max(abs(result.min_cost), 1e-300)
+
+    def cost_mismatch(found: float) -> str:
+        return f"min cost mismatch: closed form {result.min_cost!r} vs search {found!r}"
+
+    try:
+        report = brute_force_minimize(params)
+    except ScanGaveUp as exc:
+        if result.min_cost - exc.least > VALUE_RTOL * scale:
+            return cost_mismatch(exc.least)
+        return f"verification inconclusive: {exc}"
     if abs(report.min_value - result.min_cost) > VALUE_RTOL * scale:
-        return (
-            f"min cost mismatch: closed form {result.min_cost!r} vs "
-            f"search {report.min_value!r}"
-        )
+        return cost_mismatch(report.min_value)
 
     plateau = report.plateau
-    if (
-        plateau is not None
-        and plateau[1] > t_max - GRID_STEP
-        and abs(h_inf - result.min_cost) <= VALUE_RTOL * scale
-    ):
-        plateau = (plateau[0], math.inf)
-
     claimed = result.minimizers
     if claimed.kind == "interval":
         if plateau is None:
             return "closed form claims an interval of minimizers; search found none"
         lo, hi = claimed.values
-        hi_agrees = abs(plateau[1] - hi) <= PLATEAU_TOL or plateau[1] == math.inf and hi > t_max
-        if abs(plateau[0] - lo) > PLATEAU_TOL or not hi_agrees:
+        # inf - inf is nan, which no tolerance test rejects
+        if abs(plateau[0] - lo) > PLATEAU_TOL or abs(plateau[1] - hi) > PLATEAU_TOL:
             return (
                 f"plateau mismatch: closed form [{lo!r}, {hi!r}] vs "
                 f"search [{plateau[0]!r}, {plateau[1]!r}]"

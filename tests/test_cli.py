@@ -242,6 +242,20 @@ def test_curve_where_rate_squared_underflows(capsys):
     assert out == "t,capital_cost,maintenance_cost,property_cost\n0,1,0,1\n1,1,5,6\n2,0.5,10,10.5\n"
 
 
+def test_curve_default_grid_where_the_cost_ratio_underflows(capsys):
+    # A r^2 / a = 1e-401 underflows to 0, yet classify answers C1 at t = 0;
+    # the default grid spans twice the full-depreciation age of 1e-200 y
+    code, out, _ = run_cli(
+        capsys, "curve", "--acquisition", "1e-200", "--maint-slope", "1e201",
+        "--depreciation", "1", "--rate", "1",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 502
+    assert lines[1] == "0,1.71828182846,0,1.71828182846"
+    assert lines[-1] == "2e-200,0.85914091423,17.1828182846,18.0419591988"
+
+
 def test_curve_rejects_infinite_horizon(capsys):
     code, _, err = run_cli(capsys, "curve", *C1_FLAGS, "--t-max", "inf", "--step", "1")
     assert code == 1 and "t_max < inf" in err

@@ -84,16 +84,8 @@ def test_closed_form_maintenance_equals_quadrature_route(rng):
         assert maintenance_cost(p, t) == pytest.approx(via_quadrature, rel=1e-8)
 
 
-def _scan_horizon(params):
-    horizon = max(2.0 * params.junction, 10.0)
-    result = economic_life(params)
-    if result.interior_minimum_age is not None:
-        horizon = max(horizon, 1.5 * result.interior_minimum_age)
-    return horizon
-
-
 def test_scan_finds_boundary_minimum():
-    report = brute_force_minimize(INSTANCE_C1, _scan_horizon(INSTANCE_C1), 1e-3)
+    report = brute_force_minimize(INSTANCE_C1)
     assert report.argmin_points == (0.0,)
     assert report.plateau is None
     assert report.min_value == pytest.approx(property_cost(INSTANCE_C1, 0.0), rel=1e-12)
@@ -101,7 +93,7 @@ def test_scan_finds_boundary_minimum():
 
 @pytest.mark.parametrize("params", [INSTANCE_C4_3, INSTANCE_C5])
 def test_scan_finds_interior_minimum(params):
-    report = brute_force_minimize(params, _scan_horizon(params), 1e-3)
+    report = brute_force_minimize(params)
     assert report.plateau is None
     assert len(report.argmin_points) == 1
     expected = interior_minimum_age(params)
@@ -115,7 +107,7 @@ def test_scan_reports_plateau_when_minimum_is_flat():
     # search can only report a plateau; the closed-form optimum must lie in it.
     p = AssetParams(100.0, 1.6, 2.0, 0.8)
     result = economic_life(p)
-    report = brute_force_minimize(p, _scan_horizon(p), 1e-3)
+    report = brute_force_minimize(p)
     assert report.plateau is not None
     lo, hi = report.plateau
     assert lo <= 1e-3 and hi >= p.junction
@@ -129,31 +121,22 @@ def test_scan_flat_segment_with_sharp_dip_prefers_interior_optimum():
     # and the global minimum is the isolated interior point.
     p = INSTANCE_FLAT
     result = economic_life(p)
-    report = brute_force_minimize(p, _scan_horizon(p), 1e-3)
+    report = brute_force_minimize(p)
     assert report.plateau is None
     assert len(report.argmin_points) == 1
     assert abs(report.argmin_points[0] - result.interior_minimum_age) <= 1e-6
 
 
-def test_scan_validation():
-    with pytest.raises(ValueError):
-        brute_force_minimize(INSTANCE_C1, _scan_horizon(INSTANCE_C1), 0.0)
-    with pytest.raises(ValueError, match="horizon"):
-        brute_force_minimize(INSTANCE_C1, 3.0, 1e-3)
-
-
 def test_refined_value_not_above_grid():
     params = INSTANCE_C4_3
-    step = 1e-3
-    horizon = _scan_horizon(params)
-    report = brute_force_minimize(params, horizon, step)
-    ages = np.arange(int(horizon / step) + 1, dtype=float) * step
+    report = brute_force_minimize(params)
+    ages = np.arange(10_001, dtype=float) * oracle.GRID_STEP  # to 10 y
     assert report.min_value <= property_cost(params, ages).min()
 
 
 def test_scan_is_deterministic():
-    first = brute_force_minimize(INSTANCE_C5, _scan_horizon(INSTANCE_C5), 1e-3)
-    second = brute_force_minimize(INSTANCE_C5, _scan_horizon(INSTANCE_C5), 1e-3)
+    first = brute_force_minimize(INSTANCE_C5)
+    second = brute_force_minimize(INSTANCE_C5)
     assert first == second
 
 
@@ -169,7 +152,7 @@ def test_scan_resolves_exact_tie_as_two_points():
     tie = AssetParams(acquisition_threshold(base), 5.0, 20.0, 0.1)
     result = economic_life(tie)
     assert result.minimizers.kind == "two_points"
-    report = brute_force_minimize(tie, _scan_horizon(tie), 1e-3)
+    report = brute_force_minimize(tie)
     assert report.plateau is None
     assert len(report.argmin_points) == 2
     assert report.argmin_points[0] == pytest.approx(0.0, abs=1e-9)
@@ -196,7 +179,7 @@ def test_polish_undoes_a_fit_that_climbs_from_age_zero():
     # point tolerance; the relative tolerance rejects such a location.
     p = AssetParams(6556.142437440896, 1.737249962132903e18, 36409508719914.875, 0.21780982627826878)
     result = economic_life(p)
-    report = brute_force_minimize(p, _scan_horizon(p), 1e-3)
+    report = brute_force_minimize(p)
     assert report.argmin_points == pytest.approx([result.interior_minimum_age], rel=1e-9)
     assert report.min_value == pytest.approx(result.min_cost, rel=1e-12)
     assert check_against_search(p, result) is None
@@ -216,8 +199,8 @@ def test_search_verifies_wide_ratio_assets():
 
 def test_check_against_search_agrees_past_the_horizon():
     # The optimum lies at 1,000,001 y, past the full-depreciation age of 1e6 y.
-    # From about 17 y on the cost ties its limit h(inf), so the scan stops
-    # there and reads its tied tail as a plateau open to infinity.
+    # From about 17 y on the cost ties its limit h(inf), so the scan keeps
+    # its tail from there on as a plateau open to infinity.
     p = AssetParams(1e6, 1.0, 1.0, 1.0)
     assert check_against_search(p, economic_life(p)) is None
 
@@ -237,7 +220,8 @@ def test_check_against_search_is_inconclusive_over_the_grid_budget():
 
 def test_check_against_search_work_is_bounded_past_the_horizon(monkeypatch):
     # Optima past rate * age = 686: a scan cut at 686 / rate would exceed
-    # the bound several times over; the scan to the flat age stays within it.
+    # the bound several times over; the scan whose tail starts at the flat
+    # age stays within it.
     rng = np.random.default_rng(1)
     far = [AssetParams(1e6, 1.0, 1.0, 1.0)]
     while len(far) < 4:
@@ -272,38 +256,42 @@ EXACT_TIE = AssetParams(acquisition_threshold(INSTANCE_C4_1), 5.0, 20.0, 0.1)
 
 
 @pytest.mark.parametrize(
-    "params, t_max, step",
+    "params, t_max, step, tied_tail",
     [
-        (INSTANCE_C1, _scan_horizon(INSTANCE_C1), 1e-3),
-        (INSTANCE_C4_3, _scan_horizon(INSTANCE_C4_3), 1e-3),
-        (AssetParams(100.0, 1.6, 2.0, 0.8), 100.0, 1e-2),
-        (EXACT_TIE, _scan_horizon(EXACT_TIE), 1e-3),
-        (CAPPED_TIED_TAIL, 686.0, 5e-2),
+        (INSTANCE_C1, 10.0, 1e-3, False),
+        (INSTANCE_C4_3, 10.0, 1e-3, False),
+        (AssetParams(100.0, 1.6, 2.0, 0.8), 100.0, 1e-2, True),
+        (EXACT_TIE, 10.0, 1e-3, False),
+        (CAPPED_TIED_TAIL, 686.0, 5e-2, True),
+        (INSTANCE_C5, 10.0, 1e-2, False),
     ],
-    ids=["C1", "C4_3", "plateau", "exact_tie", "capped_tied_tail"],
+    ids=["C1", "C4_3", "plateau", "exact_tie", "capped_tied_tail", "C5_in_the_tail"],
 )
-def test_scan_is_chunk_invariant(monkeypatch, params, t_max, step):
+def test_scan_is_chunk_invariant(monkeypatch, params, t_max, step, tied_tail):
     # Between them these grids hold cells wholly above the tie threshold,
     # wholly at or below it (the plateau and the tied tail) and across it,
-    # the three cases the scan settles differently.  However finely it splits
-    # its cells, it finds the grid minimum and the tied runs of the whole
-    # grid, and evaluates no point twice.
+    # the three cases the scan settles differently; C5's optimum at 18.4 y
+    # lies in the tail [10 y, inf), which the scan must cut.  However finely
+    # it splits its cells, it finds the grid minimum and the tied runs of the
+    # whole grid up to its last evaluated index, where the tail starts,
+    # evaluates no point twice, and keeps or drops the tail alike.
     n = int(math.floor(t_max / step + 1e-9))
-    values = property_cost(params, np.arange(n + 1, dtype=float) * step)
-    h_min = float(values.min())
-    threshold = h_min + oracle.TIE_RTOL * abs(h_min)
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], values <= threshold, [0])).astype(np.int8)))
-    whole_grid_runs = list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
-
     reports = []
     for split in (2, 7, oracle._SPLIT):
         monkeypatch.setattr(oracle, "_SPLIT", split)
-        indices, scanned = oracle._scan(params, n, step)
+        indices, scanned, h_min, kept = oracle._scan(params, n, step)
+        values = property_cost(params, np.arange(indices[-1] + 1, dtype=float) * step)
+        assert h_min == min(values.min(), property_cost(params, math.inf))
+        threshold = h_min + oracle.TIE_RTOL * abs(h_min)
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], values <= threshold, [0])).astype(np.int8)))
+        whole_grid_runs = list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
         assert np.array_equal(indices, np.unique(indices))
         assert np.array_equal(scanned, values[indices])
-        assert scanned.min() == h_min
+        assert scanned.min() == values.min()
         assert oracle._tied_runs(indices, scanned <= threshold) == whole_grid_runs
-        reports.append(brute_force_minimize(params, t_max, step))
+        assert kept == tied_tail
+        reports.append(brute_force_minimize(params))
+        assert (reports[-1].plateau is not None and reports[-1].plateau[1] == math.inf) == tied_tail
     assert len({(report.plateau, report.min_value) for report in reports}) == 1
     if reports[0].plateau is None:
         assert reports[0].argmin_points == reports[1].argmin_points == reports[2].argmin_points
@@ -316,3 +304,48 @@ def test_search_verifies_a_row_whose_grid_holds_ten_billion_points():
     # 2.35e10 points, yet the cost bounds settle almost all of them unevaluated.
     p = AssetParams(97190.81438747907, 3.6293333163775402e-06, 2.3092237057599535e-06, 1.322188696851144e-06)
     assert check_against_search(p, economic_life(p)) is None
+
+
+def test_check_against_search_does_not_read_the_interior_age():
+    # The claim's interior age once sized the scan: without it the scan
+    # stopped at 10 y, short of the optimum at 18.4 y, and reported a
+    # "min cost mismatch" against a correct claim.
+    result = economic_life(INSTANCE_C5)
+    assert check_against_search(INSTANCE_C5, dataclasses.replace(result, interior_minimum_age=None)) is None
+
+
+def test_search_verifies_a_row_whose_horizon_passes_2_62_grid_points():
+    # The full-depreciation age is about 1e59 y and the flat age 2.3e19 y, so
+    # a scan to either would need more than 2^62 grid points; the tail from
+    # 7.2e13 y on lies far above the minimum at age 0 and is dropped.
+    p = AssetParams(1.079585349272943e-40, 5.136757683947801e+74, 1.1299543882839842e-99, 1.3269111341329422e-18)
+    assert check_against_search(p, economic_life(p)) is None
+
+
+def test_a_known_wrong_cost_stays_a_mismatch_past_2_62_grid_points():
+    # The closed form calls this C1 at cost 2.7e-157, but the cost falls far
+    # below that past the full-depreciation age of 1.2e-20 y (a known wrong
+    # answer).  The scan gives up at 2^62 grid points, yet it has evaluated
+    # costs that undercut the claim, so the check names the mismatch.
+    p = AssetParams(3.272942103383382e-177, 4.127341197816655e-234, 2.7033611022228657e-157, 2.5684623474568874e-233)
+    assert check_against_search(p, economic_life(p)).startswith("min cost mismatch")
+
+
+def test_a_scan_that_gives_up_still_refutes_a_cost_it_undercuts(monkeypatch):
+    # Under a budget too small to finish, a correct claim is inconclusive and
+    # a claim the evaluated costs undercut is a mismatch.
+    monkeypatch.setattr(oracle, "GRID_BUDGET", 200)
+    result = economic_life(INSTANCE_C4_3)
+    assert check_against_search(INSTANCE_C4_3, result).startswith("verification inconclusive: ")
+    wrong_cost = dataclasses.replace(result, min_cost=result.min_cost * 1.001)
+    assert check_against_search(INSTANCE_C4_3, wrong_cost).startswith("min cost mismatch")
+
+
+def test_a_tail_whose_costs_lie_far_below_the_grid_is_never_kept():
+    # The optimum lies at 1.3e67 y and costs 1.0e4, while every cost on the
+    # grid short of 2^62 points lies above 1e12.  The tail's upper bound
+    # exceeds h(inf) only by its capital piece, so were h(inf) left out of the
+    # least value, the tail would tie the grid's minimum and be kept
+    # unevaluated, and the check would report a false "min cost mismatch".
+    p = AssetParams(1.7612545252373111e28, 7.746909620965645e-64, 7.923062032020201e51, 5.875792517486833e-25)
+    assert check_against_search(p, economic_life(p)).startswith("verification inconclusive: ")
