@@ -79,12 +79,15 @@ class MinimizationReport:
     of value-tied grid points when the minimum is flat at grid resolution,
     with an end of inf when the cost ties its minimum at every larger age.
     Every reported point attains min_value to within the tie tolerance.
+    tail_start is the last age the scan evaluated: past it the scan bounds
+    the cost as one tail cell and cannot tell its ages apart.
     """
 
     argmin_points: tuple[float, ...]
     plateau: tuple[float, float] | None
     min_value: float
     refinements: int
+    tail_start: float
 
 
 class ScanGaveUp(NumericError):
@@ -155,11 +158,11 @@ def brute_force_minimize(params: AssetParams) -> MinimizationReport:
     start, end = max(runs, key=lambda run: run[1] - run[0])
     plateau = (start * step, end * step) if end - start + 1 >= PLATEAU_MIN_POINTS else None
 
-    indices = np.array(sorted(set(_basins(indices, values)) | {argmin_index}))
-    locations, values = _zoom(params, np.maximum(indices - 1, 0) * step, (indices + 1) * step)
+    basins = np.array(sorted(set(_basins(indices, values)) | {argmin_index}))
+    locations, values = _zoom(params, np.maximum(basins - 1, 0) * step, (basins + 1) * step)
     locations, values = _polish(params, locations, values, step)
     # The first two brackets reach down to age 0, whose cost the grid holds.
-    at_zero = (indices <= 1) & (h_zero <= values)
+    at_zero = (basins <= 1) & (h_zero <= values)
     locations[at_zero] = 0.0
     values[at_zero] = h_zero
     refined = sorted(zip(locations.tolist(), values.tolist()))
@@ -176,14 +179,9 @@ def brute_force_minimize(params: AssetParams) -> MinimizationReport:
         if points and abs(location - points[-1]) <= 2.0 * step:
             continue  # same basin reached from two candidate indices
         points.append(location)
-
-    if not points:
-        points.append(argmin_index * step)
     return MinimizationReport(
-        argmin_points=tuple(points),
-        plateau=plateau,
-        min_value=best_value,
-        refinements=len(refined),
+        argmin_points=tuple(points or [argmin_index * step]), plateau=plateau, min_value=best_value,
+        refinements=len(refined), tail_start=float(indices[-1] * step),
     )
 
 
@@ -396,7 +394,8 @@ def check_against_search(params: AssetParams, result) -> str | None:
     Point minimizers must match within ``POINT_RTOL`` of their age, or fall
     inside a reported plateau: a minimum whose basin is flat to within the
     tie tolerance cannot be localized more tightly by value comparison.  A
-    plateau that reaches inf contains every claimed optimum past its start.
+    plateau that reaches inf contains every claimed optimum past its start,
+    and agrees with a claimed interval that ends in the scan's tail.
     """
     scale = max(abs(result.min_cost), 1e-300)
 
@@ -418,8 +417,9 @@ def check_against_search(params: AssetParams, result) -> str | None:
         if plateau is None:
             return "closed form claims an interval of minimizers; search found none"
         lo, hi = claimed.values
-        # inf - inf is nan, which no tolerance test rejects
-        if abs(plateau[0] - lo) > PLATEAU_TOL or abs(plateau[1] - hi) > PLATEAU_TOL:
+        # past tail_start the scan cannot tell a kept tail's ages apart
+        in_tail = plateau[1] == math.inf and hi >= report.tail_start - PLATEAU_TOL
+        if abs(plateau[0] - lo) > PLATEAU_TOL or not (in_tail or abs(plateau[1] - hi) <= PLATEAU_TOL):
             return (
                 f"plateau mismatch: closed form [{lo!r}, {hi!r}] vs "
                 f"search [{plateau[0]!r}, {plateau[1]!r}]"

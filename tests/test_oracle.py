@@ -16,6 +16,7 @@ from conftest import (
 )
 from econlife import (
     AssetParams,
+    MinimizerSet,
     acquisition_threshold,
     brute_force_minimize,
     check_against_search,
@@ -349,3 +350,17 @@ def test_a_tail_whose_costs_lie_far_below_the_grid_is_never_kept():
     # unevaluated, and the check would report a false "min cost mismatch".
     p = AssetParams(1.7612545252373111e28, 7.746909620965645e-64, 7.923062032020201e51, 5.875792517486833e-25)
     assert check_against_search(p, economic_life(p)).startswith("verification inconclusive: ")
+
+
+def test_an_open_plateau_agrees_with_an_interval_that_ends_in_the_tail():
+    # The C2 interval [0, 5.2e18 y] ends at the junction.  From the first cut
+    # at 10 y on the cost ties its minimum, so the scan keeps the tail
+    # unevaluated and reports the plateau [0, inf): it cannot tell where in
+    # the tail the interval ends, but the ages it did evaluate pin the start.
+    p = AssetParams(7771.686176112378, 2.371737727930388e-16, 1.5080063814474131e-15, 0.15727637211017295)
+    result = economic_life(p)
+    report = brute_force_minimize(p)
+    assert report.plateau == (0.0, math.inf) and report.tail_start == 10.0
+    assert check_against_search(p, result) is None
+    short = dataclasses.replace(result, minimizers=MinimizerSet("interval", (0.0, 5.0)))
+    assert check_against_search(p, short).startswith("plateau mismatch")
