@@ -1,12 +1,13 @@
 """Cross-validate the closed-form economic life against blind search.
 
 The classification returns minimizers in closed form without ever scanning
-the cost curve.  As an independent check, a single grid scan with zoom and
-quadratic-fit refinement locates the same minimizers using nothing but
-value comparisons.  This script runs both paths side by side, including a
-deliberately nasty knife-edge instance whose cost is flat to within double
-precision over a wide range, where the only honest answer of a value-based
-search is a plateau.
+the cost curve.  As an independent check, a single grid scan with zoom
+refinement locates the same minimizers using nothing but value comparisons.
+Near a smooth minimum the cost ties its least value over a band of ages, so
+the two paths' ages may part in the eighth digit while their costs agree.
+This script runs both paths side by side, including a deliberately nasty
+knife-edge instance whose cost is flat to within double precision over a wide
+range, where the only honest answer of a value-based search is a plateau.
 
 Run:  python demos/closed_form_vs_search.py
 """

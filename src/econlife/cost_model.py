@@ -93,17 +93,19 @@ def _kernel(params: AssetParams, ages):
     np.minimum(x, _HOLD, out=x)
     p = np.expm1(x)
     m = np.subtract(p, x)
-    with np.errstate(invalid="ignore"):  # 0/0 at x = 0, where the series takes over
+    # 0/0 at x = 0, where the series takes over; m overflows to inf exactly
+    # where a q/r lies past the double range.
+    with np.errstate(invalid="ignore", over="ignore"):
         m /= p
         np.divide(x, p, out=p)
-    m /= r
-    m *= a
-    small = np.flatnonzero(x < _SERIES_CUTOFF)
-    if small.size:  # most calls have no such point: skip the work on empty arrays
-        s = x[small]
-        ratio = 0.5 - s * (1.0 / 12.0 - s * s / 720.0)  # q/x
-        m[small] = ages[small] * (a * ratio)
-        p[small] = 1.0 - s * ratio
+        m /= r
+        m *= a
+        small = np.flatnonzero(x < _SERIES_CUTOFF)
+        if small.size:  # most calls have no such point: skip the work on empty arrays
+            s = x[small]
+            ratio = 0.5 - s * (1.0 / 12.0 - s * s / 720.0)  # q/x
+            m[small] = ages[small] * (a * ratio)
+            p[small] = 1.0 - s * ratio
     c = x  # x is spent
     c.fill(params.depreciation_rate)
     np.divide(params.acquisition_cost, ages, out=c, where=ages > params.junction)

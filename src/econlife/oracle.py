@@ -2,10 +2,10 @@
 
 Two derivative-free tools, deliberately ignorant of the classification
 machinery: Gauss-Legendre quadrature for the discounted-maintenance integral,
-and a branch-and-bound grid scan plus batched zoom / quadratic-fit refinement
-that locates the global minimizers of the ownership cost by value comparison
-alone.  Tests and the fleet ``--verify`` mode use these to cross-check the
-closed-form path; nothing here is consulted by that path.
+and a branch-and-bound grid scan plus batched zoom refinement that locates
+the global minimizers of the ownership cost by value comparison alone.  Tests
+and the fleet ``--verify`` mode use these to cross-check the closed-form
+path; nothing here is consulted by that path.
 
 The scan runs to infinity: its last cell, the tail [T, inf), carries at its
 open end the limits D = 0 and I = a/r of the cost's pieces, so it is bounded
@@ -42,10 +42,9 @@ __all__ = [
 
 #: Grid values within this relative band of the minimum count as tied.
 TIE_RTOL = 1e-12
-#: ``check_against_search`` tolerances: relative for the minimum cost and for
-#: a point minimizer's age, absolute (in years) for a plateau's ends.
+#: ``check_against_search`` tolerances: relative for the minimum cost,
+#: absolute (in years) for a plateau's ends.
 VALUE_RTOL = 1e-9
-POINT_RTOL = 1e-6
 PLATEAU_TOL = 1e-3
 #: A run of at least this many tied grid points is reported as a plateau.
 PLATEAU_MIN_POINTS = 3
@@ -75,15 +74,18 @@ _ZOOM_POINTS = 65
 class MinimizationReport:
     """Outcome of a brute-force scan of the ownership cost.
 
-    argmin_points holds the refined minimizer locations; plateau is the span
-    of value-tied grid points when the minimum is flat at grid resolution,
-    with an end of inf when the cost ties its minimum at every larger age.
-    Every reported point attains min_value to within the tie tolerance.
-    tail_start is the last age the scan evaluated: past it the scan bounds
-    the cost as one tail cell and cannot tell its ages apart.
+    argmin_points holds the best zoomed point of each tied basin outside the
+    plateau, and brackets the grid bracket [(k - 1) step, (k + 1) step]
+    around its grid index k, merged with its neighbours' where they overlap;
+    plateau is the span of value-tied grid points when the minimum is flat at
+    grid resolution, with an end of inf when the cost ties its minimum at
+    every larger age.  Every reported point attains min_value to within the
+    tie tolerance.  tail_start is the last age the scan evaluated: past it
+    the scan bounds the cost as one tail cell and cannot tell its ages apart.
     """
 
     argmin_points: tuple[float, ...]
+    brackets: tuple[tuple[float, float], ...]
     plateau: tuple[float, float] | None
     min_value: float
     refinements: int
@@ -139,13 +141,12 @@ def brute_force_minimize(params: AssetParams) -> MinimizationReport:
     Scans the ``GRID_STEP`` grid once, by branch and bound (``_scan``) with
     its first cut at the flat age or 10 years, refines all candidate basins
     (grid local minima and the ends) together, by repeated 65-point zooms of
-    their brackets until their values tie followed by shrinking quadratic
-    fits, and keeps the basins whose refined values tie the best one within
-    ``TIE_RTOL``.  Runs of >= 3 grid points value-tied with the minimum, a
-    kept tail's included, are reported as a plateau: there the cost is flat
-    at rounding level and no value comparison can single out a point.  Uses
-    only value comparisons of the cost.  Raises ``ScanGaveUp`` when the scan
-    gives up.
+    their brackets until their values tie, and keeps the basins whose refined
+    values tie the best one within ``TIE_RTOL``.  Runs of >= 3 grid points
+    value-tied with the minimum, a kept tail's included, are reported as a
+    plateau: there the cost is flat at rounding level and no value comparison
+    can single out a point.  Uses only value comparisons of the cost.  Raises
+    ``ScanGaveUp`` when the scan gives up.
     """
     step = GRID_STEP
     n = int(min(max(_flat_age(params), 10.0) / step + 1e-9, (_INDEX_LIMIT - 1) // _SPLIT))
@@ -159,29 +160,31 @@ def brute_force_minimize(params: AssetParams) -> MinimizationReport:
     plateau = (start * step, end * step) if end - start + 1 >= PLATEAU_MIN_POINTS else None
 
     basins = np.array(sorted(set(_basins(indices, values)) | {argmin_index}))
-    locations, values = _zoom(params, np.maximum(basins - 1, 0) * step, (basins + 1) * step)
-    locations, values = _polish(params, locations, values, step)
+    lows, highs = np.maximum(basins - 1, 0) * step, (basins + 1) * step
+    locations, values = _zoom(params, lows.copy(), highs.copy())
     # The first two brackets reach down to age 0, whose cost the grid holds.
     at_zero = (basins <= 1) & (h_zero <= values)
     locations[at_zero] = 0.0
     values[at_zero] = h_zero
-    refined = sorted(zip(locations.tolist(), values.tolist()))
 
     best_value = min(float(values.min()), h_min)
     tie_band = best_value + TIE_RTOL * abs(best_value)
 
     points: list[float] = []
-    for location, value in refined:
-        if value > tie_band:
+    brackets: list[tuple[float, float]] = []
+    for lo, hi, location, value in zip(lows.tolist(), highs.tolist(), locations.tolist(), values.tolist()):
+        if value > tie_band or (plateau is not None and lo <= plateau[1] and plateau[0] <= hi):
+            continue  # not tied, or already represented by the plateau
+        if brackets and lo <= brackets[-1][1]:
+            brackets[-1] = (brackets[-1][0], hi)  # same basin reached from two candidate indices
             continue
-        if plateau is not None and plateau[0] - step <= location <= plateau[1] + step:
-            continue  # already represented by the plateau
-        if points and abs(location - points[-1]) <= 2.0 * step:
-            continue  # same basin reached from two candidate indices
         points.append(location)
+        brackets.append((lo, hi))
+    if not points:  # the plateau holds every tied basin: any tied point stands for it
+        points, brackets = [argmin_index * step], [(argmin_index * step,) * 2]
     return MinimizationReport(
-        argmin_points=tuple(points or [argmin_index * step]), plateau=plateau, min_value=best_value,
-        refinements=len(refined), tail_start=float(indices[-1] * step),
+        argmin_points=tuple(points), brackets=tuple(brackets), plateau=plateau, min_value=best_value,
+        refinements=len(basins), tail_start=float(indices[-1] * step),
     )
 
 
@@ -306,57 +309,6 @@ def _zoom(params, lo, hi):
     return best_ages, best_values
 
 
-def _polish(params, v, best, span, levels=12):
-    """Sharpen minimizer locations with shrinking three-point parabola fits.
-
-    Comparison-based search cannot localize a smooth minimum better than the
-    sqrt(eps)-wide band where values tie at rounding level; a parabola fitted
-    at half-width d instead pins the vertex to ~(noise/curvature)/d, so
-    marching d downward until the curvature signal drowns in rounding noise
-    gains several orders of magnitude in location accuracy.  Each level
-    evaluates v - d, v and v + d of every basin still being fitted in one
-    call; ``best`` collects the least value seen per basin.  A vertex whose
-    value exceeds the previous centre's beyond the tie tolerance (a fit
-    spoilt by the kink at the junction or the steep rise towards age 0) is
-    undone, and the next level fits again around the previous centre at the
-    already reduced half-width.
-    """
-    v, best = v.copy(), best.copy()
-    previous, centre = v.copy(), best.copy()  # last accepted centre and its value
-    d = np.full(len(v), float(span))
-    fitting = np.arange(len(v))
-
-    def uphill(f_v):
-        """Undo the basins whose new centre is uphill; record the others'."""
-        up = f_v > centre[fitting] + TIE_RTOL * np.abs(centre[fitting])
-        v[fitting[up]] = previous[fitting[up]]
-        kept = fitting[~up]
-        previous[kept], centre[kept] = v[kept], f_v[~up]
-        return up
-
-    for _ in range(levels):
-        if fitting.size == 0:
-            break
-        d[fitting] = np.minimum(d[fitting], v[fitting])  # keep v - d a valid age
-        dk, vk = d[fitting], v[fitting]
-        ages = np.concatenate([vk - dk, vk, vk + dk])
-        f_lo, f_v, f_hi = property_cost(params, ages).reshape(3, -1)
-        best[fitting] = np.minimum(np.minimum(best[fitting], f_v), np.minimum(f_lo, f_hi))
-        up = uphill(f_v)
-        curvature = (f_lo - f_v) + (f_hi - f_v)
-        fits = ~up & (dk > 0.0) & (curvature > 64.0 * np.finfo(float).eps * np.abs(f_v))
-        shift = 0.5 * dk[fits] * (f_lo - f_hi)[fits] / curvature[fits]
-        moved = fitting[fits]
-        v[moved] += np.clip(shift, -d[moved], d[moved])
-        d[moved] /= 8.0
-        fitting = fitting[fits | up]
-    if fitting.size:
-        f_v = property_cost(params, v[fitting])
-        best[fitting] = np.minimum(best[fitting], f_v)
-        uphill(f_v)
-    return v, best
-
-
 def _flat_age(params: AssetParams) -> float:
     """The age past which the cost ties its limit h(inf).
 
@@ -391,11 +343,13 @@ def check_against_search(params: AssetParams, result) -> str | None:
     agreement; a message starting "verification inconclusive:" when
     ``brute_force_minimize`` gives up and no cost it evaluated undercuts
     ``min_cost``; otherwise a one-line description of the first discrepancy.
-    Point minimizers must match within ``POINT_RTOL`` of their age, or fall
-    inside a reported plateau: a minimum whose basin is flat to within the
-    tie tolerance cannot be localized more tightly by value comparison.  A
-    plateau that reaches inf contains every claimed optimum past its start,
-    and agrees with a claimed interval that ends in the scan's tail.
+    Minimizers are compared by value, all that a value-comparing search can
+    certify: a claimed point agrees when it lies inside the reported plateau,
+    or when its cost ties the search's least value within ``TIE_RTOL`` and it
+    lies in the grid bracket of a tied basin.  A tied basin whose bracket
+    holds no claimed point is an extra minimizer.  A plateau that reaches inf
+    contains every claimed optimum past its start, and agrees with a claimed
+    interval that ends in the scan's tail.
     """
     scale = max(abs(result.min_cost), 1e-300)
 
@@ -426,20 +380,18 @@ def check_against_search(params: AssetParams, result) -> str | None:
             )
         return None
 
-    def near(u: float, v: float) -> bool:
-        return abs(u - v) <= POINT_RTOL * max(u, v)
-
-    for point in claimed.values:
+    tie_band = report.min_value + TIE_RTOL * abs(report.min_value)
+    for point, cost in zip(claimed.values, property_cost(params, claimed.values)):
         in_plateau = plateau is not None and (
             plateau[0] - PLATEAU_TOL <= point <= plateau[1] + PLATEAU_TOL
         )
-        if not (in_plateau or any(near(point, found) for found in report.argmin_points)):
+        if not (in_plateau or cost <= tie_band and any(lo <= point <= hi for lo, hi in report.brackets)):
             return (
                 f"minimizer {point!r} not reproduced by search "
                 f"(found {report.argmin_points!r}, plateau {plateau!r})"
             )
     if plateau is None:
-        for found in report.argmin_points:
-            if not any(near(point, found) for point in claimed.values):
+        for found, (lo, hi) in zip(report.argmin_points, report.brackets):
+            if not any(lo <= point <= hi for point in claimed.values):
                 return f"search found an extra minimizer at {found!r}"
     return None

@@ -28,6 +28,12 @@ class AssetParams:
     interest_rate: float
 
     def __post_init__(self):
+        if not (type(self.acquisition_cost) is type(self.maint_slope) is type(self.depreciation_rate)
+                is type(self.interest_rate) is float):
+            # Plain floats: numpy scalars would warn where a quotient overflows and
+            # print as np.float64(...).  Tested first, since fleet builds one per row.
+            for name in ("acquisition_cost", "maint_slope", "depreciation_rate", "interest_rate"):
+                object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("acquisition_cost", "maint_slope", "depreciation_rate"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):

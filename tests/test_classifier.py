@@ -218,6 +218,14 @@ def test_economic_life_over_the_whole_domain():
         assert result.acquisition_threshold is None or result.acquisition_threshold >= 0.0, p
 
 
+def test_numpy_scalar_fields_answer_as_floats():
+    # With np.float64 fields A/b would overflow by numpy's rules, which warn.
+    fields = (1e300, 1e-10, 1e-300, 1e-200)
+    p = AssetParams(*map(np.float64, fields))
+    assert economic_life(p) == economic_life(AssetParams(*fields))
+    assert repr(p) == repr(AssetParams(*fields))
+
+
 def test_economic_life_names_an_overflowing_cost_ratio():
     p = AssetParams(1e300, 1e-300, 1.0, 1.0)  # A r^2 / a = 1e600
     with pytest.raises(ValueError, match=r"cost ratio A\*r\^2/a .* overflows"):

@@ -172,12 +172,32 @@ def test_check_against_search_flags_tampered_results():
     assert "not reproduced" in check_against_search(params, wrong_spot)
 
 
-def test_polish_undoes_a_fit_that_climbs_from_age_zero():
-    # The optimum lies at 8.7e-8 y, past a full-depreciation age of 1.8e-10 y.
-    # The first parabola fit spans age 0, where the cost is 250 times higher,
-    # and its vertex lies uphill; keeping it lost the optimum.
-    # It was reported at 1.18e-7 y, 36% off but inside an absolute 1e-6 y
-    # point tolerance; the relative tolerance rejects such a location.
+@pytest.mark.parametrize("shift, verdict", [(1e-7, None), (1e-5, "not reproduced")])
+def test_a_moved_claim_agrees_while_its_cost_ties(shift, verdict):
+    # Minimizers are compared by value: moved by a relative 1e-7, the claim's
+    # cost ties the least value within 1e-14 and agrees; moved by 1e-5, its
+    # cost lies 4e-11 above it and is rejected, though both lie in the bracket.
+    result = economic_life(INSTANCE_C4_3)
+    (age,) = result.minimizers.values
+    moved = dataclasses.replace(result, minimizers=type(result.minimizers).point(age * (1.0 + shift)))
+    found = check_against_search(INSTANCE_C4_3, moved)
+    assert found is None if verdict is None else verdict in found
+
+
+@pytest.mark.parametrize("kept", [0, 1])
+def test_a_tie_claimed_as_one_point_misses_an_extra_minimizer(kept):
+    # Age 0 and the interior optimum tie exactly; a claim of either alone
+    # leaves the other's tied basin without a claimed point.
+    result = economic_life(EXACT_TIE)
+    one = dataclasses.replace(result, minimizers=type(result.minimizers).point(result.minimizers.values[kept]))
+    assert check_against_search(EXACT_TIE, one).startswith("search found an extra minimizer at ")
+
+
+def test_a_claim_in_the_right_bracket_whose_cost_does_not_tie_is_rejected():
+    # The optimum lies at 8.7e-8 y, past a full-depreciation age of 1.8e-10 y,
+    # inside the first grid bracket [0, 1e-3 y], where the cost at age 0 is
+    # 250 times higher.  A claim at 1.18e-7 y, 36% off, lies in that bracket
+    # too, but its cost exceeds the least value by 4.7%: no tie.
     p = AssetParams(6556.142437440896, 1.737249962132903e18, 36409508719914.875, 0.21780982627826878)
     result = economic_life(p)
     report = brute_force_minimize(p)
@@ -190,8 +210,8 @@ def test_polish_undoes_a_fit_that_climbs_from_age_zero():
 
 def test_search_verifies_wide_ratio_assets():
     # Cost ratios down to 1e-20 and full-depreciation ages down to 1e-12 y put
-    # sharp optima within a grid step of age 0; before the polish undid uphill
-    # fits, about one in five of these failed verification.
+    # sharp optima within a grid step of age 0, where the cost at age 0 lies
+    # far above the optimum's; all of them verify.
     rng = np.random.default_rng(20261019)
     for _ in range(100):
         p = draw_wide_params(rng)
@@ -298,6 +318,20 @@ def test_scan_is_chunk_invariant(monkeypatch, params, t_max, step, tied_tail):
         assert reports[0].argmin_points == reports[1].argmin_points == reports[2].argmin_points
     else:  # any tied point may stand for a plateau that holds every refined basin
         assert all(reports[0].plateau[0] <= report.argmin_points[0] <= reports[0].plateau[1] for report in reports)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        AssetParams(46061.89279505064, 6.362473928320528e222, 5.733705842664479e-84, 2.852463935143124e-121),
+        AssetParams(9.143131686032684e-127, 4.672754509709907e295, 3.3240379526453126e-164, 1.3612843309704562e-286),
+    ],
+)
+def test_search_where_the_maintenance_cost_overflows(params):
+    # a q/r lies past the double range at large ages, so the maintenance
+    # piece and h(inf) are inf; the search takes that without a warning.
+    assert property_cost(params, math.inf) == math.inf
+    assert check_against_search(params, economic_life(params)) is None
 
 
 def test_search_verifies_a_row_whose_grid_holds_ten_billion_points():
