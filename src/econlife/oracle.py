@@ -7,19 +7,14 @@ the global minimizers of the ownership cost by value comparison alone.  Tests
 and the fleet ``--verify`` mode use these to cross-check the closed-form
 path; nothing here is consulted by that path.
 
-The scan runs to infinity: its last cell, the tail [T, inf), carries at its
-open end the limits D = 0 and I = a/r of the cost's pieces, so it is bounded
-like every other cell and dropped, kept as a plateau open to infinity, or cut
-at 2T, ..., 64T into finite cells and a new tail.  T is the flat age.  With
-x = rate * age and p = x/(e^x - 1), the cost differs from its limit h(inf)
-by scale p (c - a/r), where c <= b is the mean yearly loss of resale value,
-so past the flat age, where scale p max(b, a/r) lies inside the tie band of
-h(inf), the tail's bounds span at most two tie bands.  h(inf) joins the
-least value, so both ends of a kept cell, the tail's too, cost at least that
-value, and its unevaluated costs lie at most one tie band below it.  A check
-gives one of three verdicts: None (agreement), a description of the
-discrepancy, or, when the scan gives up, a message starting "verification
-inconclusive:".
+The scan's grid covers [0, inf] in finitely many points: GRID_STEP apart up
+to 10 years, then spaced a 10,000th of their age, so its last point, index
+``_LAST`` near 7.1e6, lies at age inf, where the cost's pieces take their
+limits D = 0 and I = a/r.  Every cell, the last one too, is bounded from the
+pieces at its ends and dropped, kept or split, so the scan decides on the
+whole domain.  A check gives one of three verdicts: None (agreement), a
+description of the discrepancy, or, when the scan would pass its point
+budget, a message starting "verification inconclusive:".
 """
 
 from __future__ import annotations
@@ -42,28 +37,27 @@ __all__ = [
 
 #: Grid values within this relative band of the minimum count as tied.
 TIE_RTOL = 1e-12
-#: ``check_against_search`` tolerances: relative for the minimum cost,
-#: absolute (in years) for a plateau's ends.
+#: ``check_against_search`` tolerance for the minimum cost, relative.
 VALUE_RTOL = 1e-9
-PLATEAU_TOL = 1e-3
 #: A run of at least this many tied grid points is reported as a plateau.
 PLATEAU_MIN_POINTS = 3
 #: ``brute_force_minimize`` gives up, and ``check_against_search`` calls the
 #: row inconclusive, when the scan would evaluate more grid points than this.
 GRID_BUDGET = 1 << 18
-#: The grid step of ``brute_force_minimize``, in years.
+#: The grid step of ``brute_force_minimize`` up to 10 years, in years.
 GRID_STEP = 1e-3
 # Quadrature panels: 20-node Gauss-Legendre, their count doubled at most
 # _MAX_DOUBLINGS times.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _MAX_DOUBLINGS = 8
-# A scan cell wider than this many indices is split this many ways, and the
-# tail [T, inf) is cut at 2T, ..., _SPLIT T.
+# A scan cell wider than this many indices is split this many ways.
 _SPLIT = 64
-# Grid indices are 64-bit: the scan gives up rather than cut the tail at
-# _INDEX_LIMIT or past it.  _OPEN marks the tail's open end.
-_INDEX_LIMIT = 1 << 62
-_OPEN = (1 << 63) - 1
+# The grid is linear up to index _LINEAR_END (10 y), then geometric with the
+# spacing continuous there, and its index _LAST is the first whose age
+# overflows to inf.
+_LINEAR_END = 10_000
+_LOG_RATIO = math.log1p(1.0 / _LINEAR_END)
+_LAST = _LINEAR_END + math.ceil(math.log(np.finfo(float).max / (_LINEAR_END * GRID_STEP)) / _LOG_RATIO)
 # Factors widening a scan cell's (lower, upper) cost bound for rounded pieces.
 _BOUND_SLACK = 1.0 + np.array([-64.0, 64.0]) * np.finfo(float).eps
 # Each zoom grid narrows a bracket 32-fold.
@@ -75,13 +69,14 @@ class MinimizationReport:
     """Outcome of a brute-force scan of the ownership cost.
 
     argmin_points holds the best zoomed point of each tied basin outside the
-    plateau, and brackets the grid bracket [(k - 1) step, (k + 1) step]
-    around its grid index k, merged with its neighbours' where they overlap;
+    plateau, and brackets the span from the grid point before its grid index
+    to the one after, merged with its neighbours' where they overlap;
     plateau is the span of value-tied grid points when the minimum is flat at
     grid resolution, with an end of inf when the cost ties its minimum at
     every larger age.  Every reported point attains min_value to within the
-    tie tolerance.  tail_start is the last age the scan evaluated: past it
-    the scan bounds the cost as one tail cell and cannot tell its ages apart.
+    tie tolerance.  tail_start is the last age the scan evaluated short of
+    inf: past it the scan bounds the cost as one cell and cannot tell its
+    ages apart.
     """
 
     argmin_points: tuple[float, ...]
@@ -136,38 +131,34 @@ def integrate_discounted_maintenance(params: AssetParams, t: float, tol: float =
 
 
 def brute_force_minimize(params: AssetParams) -> MinimizationReport:
-    """Locate all global minimizers of the ownership cost on [0, inf).
+    """Locate all global minimizers of the ownership cost on [0, inf].
 
-    Scans the ``GRID_STEP`` grid once, by branch and bound (``_scan``) with
-    its first cut at the flat age or 10 years, refines all candidate basins
-    (grid local minima and the ends) together, by repeated 65-point zooms of
-    their brackets until their values tie, and keeps the basins whose refined
-    values tie the best one within ``TIE_RTOL``.  Runs of >= 3 grid points
-    value-tied with the minimum, a kept tail's included, are reported as a
+    Scans the whole grid once, by branch and bound (``_scan``), refines all
+    candidate basins (grid local minima and age 0) together, by repeated
+    65-point zooms of their brackets until their values tie, and keeps the
+    basins whose refined values tie the best one within ``TIE_RTOL``.  Runs
+    of >= 3 grid points value-tied with the minimum are reported as a
     plateau: there the cost is flat at rounding level and no value comparison
-    can single out a point.  Uses only value comparisons of the cost.  Raises
-    ``ScanGaveUp`` when the scan gives up.
+    can single out a point.  A run that reaches the last grid point ends at
+    inf.  Uses only value comparisons of the cost.  Raises ``ScanGaveUp``
+    when the scan gives up.
     """
-    step = GRID_STEP
-    n = int(min(max(_flat_age(params), 10.0) / step + 1e-9, (_INDEX_LIMIT - 1) // _SPLIT))
-
-    indices, values, h_min, tied_tail = _scan(params, n, step)
+    indices, values, h_min = _scan(params)
     argmin_index, h_zero = int(indices[np.argmin(values)]), float(values[0])
     runs = _tied_runs(indices, values <= h_min + TIE_RTOL * abs(h_min))
-    if tied_tail:
-        runs[-1] = (runs[-1][0], math.inf)
     start, end = max(runs, key=lambda run: run[1] - run[0])
-    plateau = (start * step, end * step) if end - start + 1 >= PLATEAU_MIN_POINTS else None
+    plateau = tuple(_ages(np.array([start, end])).tolist()) if end - start + 1 >= PLATEAU_MIN_POINTS else None
 
-    basins = np.array(sorted(set(_basins(indices, values)) | {argmin_index}))
-    lows, highs = np.maximum(basins - 1, 0) * step, (basins + 1) * step
+    # Age inf opens no bracket: its cost h(inf) is the grid's last value.
+    basins = np.array(sorted((set(_basins(indices, values)) | {argmin_index}) - {_LAST}), dtype=np.int64)
+    lows, highs = _ages(np.stack([np.maximum(basins - 1, 0), np.minimum(basins + 1, _LAST - 1)]))
     locations, values = _zoom(params, lows.copy(), highs.copy())
     # The first two brackets reach down to age 0, whose cost the grid holds.
     at_zero = (basins <= 1) & (h_zero <= values)
     locations[at_zero] = 0.0
     values[at_zero] = h_zero
 
-    best_value = min(float(values.min()), h_min)
+    best_value = min(float(values.min(initial=math.inf)), h_min)
     tie_band = best_value + TIE_RTOL * abs(best_value)
 
     points: list[float] = []
@@ -181,10 +172,11 @@ def brute_force_minimize(params: AssetParams) -> MinimizationReport:
         points.append(location)
         brackets.append((lo, hi))
     if not points:  # the plateau holds every tied basin: any tied point stands for it
-        points, brackets = [argmin_index * step], [(argmin_index * step,) * 2]
+        age = float(_ages(np.array(argmin_index)))
+        points, brackets = [age], [(age, age)]
     return MinimizationReport(
         argmin_points=tuple(points), brackets=tuple(brackets), plateau=plateau, min_value=best_value,
-        refinements=len(basins), tail_start=float(indices[-1] * step),
+        refinements=len(basins), tail_start=float(_ages(indices[-2])),
     )
 
 
@@ -194,27 +186,48 @@ def brute_force_minimize(params: AssetParams) -> MinimizationReport:
 _MAX_BASINS = 16
 
 
-def _scan(params, n, step):
+def _ages(indices):
+    """The ages of grid indices.
+
+    They lie ``GRID_STEP`` apart up to index ``_LINEAR_END`` (10 y), and
+    each is 1 + 1/``_LINEAR_END`` times the one before from there on, so the
+    spacing is continuous at 10 y and is age/``_LINEAR_END`` past it.  The
+    age overflows to inf at index ``_LAST``.
+    """
+    with np.errstate(over="ignore"):
+        ages = _LINEAR_END * GRID_STEP * np.exp((indices - _LINEAR_END) * _LOG_RATIO)
+    return np.where(indices <= _LINEAR_END, indices * GRID_STEP, ages)
+
+
+def _spacing(age: float) -> float:
+    """The grid spacing at ``age``."""
+    return max(GRID_STEP, age / _LINEAR_END)
+
+
+def _scan(params):
     """The grid points that can tie the cost's minimum, by branch and bound.
 
     A cell [lo, hi] of grid indices carries the pieces D and I of
-    ``cost_pieces`` at both ends, and the tail [s, inf), s >= n, their limits
-    at its open end.  D never rises and I never falls, so each cost in a cell
-    lies between the cost of D(hi) and I(lo) and that of D(lo) and I(hi).
-    Each level drops the cells whose lower bound lies above the tie threshold
-    of the least value so far (h(inf) included) and keeps those whose upper
-    bound does not; in one cost evaluation it fills in the other cells of at
-    most ``_SPLIT`` indices and splits the rest ``_SPLIT`` ways, the tail at
-    2s, ..., ``_SPLIT`` s, until no cell is left to split.  Raises
-    ``ScanGaveUp`` past ``GRID_BUDGET`` points or ``_INDEX_LIMIT``.  Returns
-    the evaluated indices in increasing order, their costs, the least value
-    and whether the tail, from the last index on, is kept.
+    ``cost_pieces`` at both ends; at the last index, age inf, these are
+    their limits D = 0 and I = a/r.  D never rises and I never falls, so
+    each cost in a cell lies between the cost of D(hi) and I(lo) and that of
+    D(lo) and I(hi).  The first cells end at 10 y, at a 64th of the
+    geometric indices (6.3e5 y) and at inf: a first split of [10 y, inf)
+    would spend 63 of its points past 6e5 y and cost most rows one more
+    level.  Each level drops the cells whose lower
+    bound lies above the tie threshold of the least value so far and keeps
+    those whose upper bound does not; in one cost evaluation it fills in the
+    other cells of at most ``_SPLIT`` indices and splits the rest ``_SPLIT``
+    ways, until no cell is left to split.  Raises ``ScanGaveUp`` past
+    ``GRID_BUDGET`` points.  Returns the evaluated indices in increasing
+    order, their costs and the least value.
     """
     steps = np.arange(_SPLIT + 1)
-    d, i, h = cost_pieces(params, np.array([0.0, n * step, math.inf]))
-    indices, values, h_min = [np.array([0, n])], [h[:2]], float(h.min())
-    spans = np.array([[0, n], [n, _OPEN]])
-    pieces = np.stack([d, i], axis=-1)[[[0, 1], [1, 2]]]  # [cell, end, (D, I)]
+    first = np.array([0, _LINEAR_END, _LINEAR_END + (_LAST - _LINEAR_END) // _SPLIT, _LAST])
+    d, i, h = cost_pieces(params, _ages(first))
+    indices, values, h_min = [first], [h], float(h.min())
+    cells = np.array([[0, 1], [1, 2], [2, 3]])
+    spans, pieces = first[cells], np.stack([d, i], axis=-1)[cells]  # pieces: [cell, end, (D, I)]
     while True:
         threshold = h_min + TIE_RTOL * abs(h_min)
         lower, upper = (cost_of_pieces(params, pieces[:, ::-1, 0], pieces[:, :, 1]) * _BOUND_SLACK).T
@@ -231,16 +244,10 @@ def _scan(params, n, step):
         inside = np.repeat(spans[small, 0] + 1 - (np.cumsum(gaps) - gaps), gaps) + np.arange(gaps.sum())
         wide = widths[~small, None]
         cuts = spans[~small, :1] + (wide // _SPLIT) * steps + (wide % _SPLIT) * steps // _SPLIT
-        tail = cuts[:, -1] == _OPEN
-        if tail.any():
-            start = int(cuts[tail, 0][0])
-            if start * _SPLIT >= _INDEX_LIMIT:
-                raise ScanGaveUp("the scan needs more than 2^62 grid points", h_min)
-            cuts[tail, :-1] = start * steps[1:]
         new = np.concatenate([inside, cuts[:, 1:-1].ravel()])
         if new.size + sum(map(len, indices)) > GRID_BUDGET:
             raise ScanGaveUp(f"the scan needs more than {GRID_BUDGET} cost evaluations", h_min)
-        d, i, h = cost_pieces(params, new * step)
+        d, i, h = cost_pieces(params, _ages(new))
         indices.append(new)
         values.append(h)
         h_min = min(h_min, float(h.min(initial=math.inf)))
@@ -251,18 +258,17 @@ def _scan(params, n, step):
         pieces = np.concatenate([kept_pieces, windows(edges, 2, axis=1).swapaxes(2, 3).reshape(-1, 2, 2)])
     indices, values = np.concatenate(indices), np.concatenate(values)
     order = np.argsort(indices)
-    return indices[order], values[order], h_min, bool(keep[spans[:, 1] == _OPEN].any())
+    return indices[order], values[order], h_min
 
 
 def _basins(indices, values):
-    """The ``_MAX_BASINS`` least strict local minima of evaluated neighbours, and the ends."""
+    """The ``_MAX_BASINS`` least strict local minima of evaluated neighbours, and age 0."""
     adjacent = np.diff(indices) == 1
     falls, rises = values[1:] < values[:-1], values[1:] > values[:-1]
     strict = 1 + np.flatnonzero(adjacent[:-1] & adjacent[1:] & falls[:-1] & rises[1:])
     strict = strict[np.lexsort((indices[strict], values[strict]))[:_MAX_BASINS]]
     first = [] if (adjacent[:1] & falls[:1]).any() else [0]
-    last = [] if (adjacent[-1:] & rises[-1:]).any() else [int(indices[-1])]
-    return indices[strict].tolist() + first + last
+    return indices[strict].tolist() + first
 
 
 def _tied_runs(indices, tied):
@@ -291,7 +297,7 @@ def _zoom(params, lo, hi):
     fractions = np.linspace(0.0, 1.0, _ZOOM_POINTS)
     best_ages, best_values = np.empty(len(lo)), np.empty(len(lo))
     open_rows = np.arange(len(lo))
-    widest = max(float((hi - lo).max()), math.ulp(0.0))
+    widest = max(float((hi - lo).max(initial=0.0)), math.ulp(0.0))
     narrowing = (_ZOOM_POINTS - 1) / 2
     levels = max(1, math.ceil((math.log(widest) - math.log(math.ulp(0.0))) / math.log(narrowing)))
     for _ in range(levels):
@@ -309,33 +315,6 @@ def _zoom(params, lo, hi):
     return best_ages, best_values
 
 
-def _flat_age(params: AssetParams) -> float:
-    """The age past which the cost ties its limit h(inf).
-
-    Past the flat age t = x/r, scale p(x) max(b, a/r) <= TIE_RTOL h(inf), so
-    the cost ties its limit.  p(x) = x/(e^x - 1) = eps is solved by the
-    iteration x <- lam + log(x/(1 - e^-x)), lam = log(1/eps): its slope lies
-    in (0, 1/2), and the root in (lam, 2 lam), so from 2 lam it falls to the
-    root without passing it.  The age is 0 where the bound holds at every
-    age, and inf where it cannot be formed.
-    """
-    r = params.interest_rate
-    bound = math.expm1(r) / r * max(float(params.depreciation_rate), float(params.maint_slope) / r)
-    eps = TIE_RTOL * float(property_cost(params, math.inf)) / bound
-    if not eps > 0.0:
-        return math.inf
-    if eps >= 1.0:
-        return 0.0
-    lam = -math.log(eps)
-    x = 2.0 * lam
-    for _ in range(64):
-        below = lam + math.log(x / -math.expm1(-x))
-        if not below < x:
-            break
-        x = below
-    return x / r
-
-
 def check_against_search(params: AssetParams, result) -> str | None:
     """Compare a closed-form classification against the brute-force scan.
 
@@ -347,9 +326,10 @@ def check_against_search(params: AssetParams, result) -> str | None:
     certify: a claimed point agrees when it lies inside the reported plateau,
     or when its cost ties the search's least value within ``TIE_RTOL`` and it
     lies in the grid bracket of a tied basin.  A tied basin whose bracket
-    holds no claimed point is an extra minimizer.  A plateau that reaches inf
-    contains every claimed optimum past its start, and agrees with a claimed
-    interval that ends in the scan's tail.
+    holds no claimed point is an extra minimizer.  Plateau ends agree within
+    one grid spacing.  A plateau that reaches inf contains every claimed
+    optimum past its start, and agrees with a claimed interval that ends in
+    the scan's last cell.
     """
     scale = max(abs(result.min_cost), 1e-300)
 
@@ -371,9 +351,12 @@ def check_against_search(params: AssetParams, result) -> str | None:
         if plateau is None:
             return "closed form claims an interval of minimizers; search found none"
         lo, hi = claimed.values
-        # past tail_start the scan cannot tell a kept tail's ages apart
-        in_tail = plateau[1] == math.inf and hi >= report.tail_start - PLATEAU_TOL
-        if abs(plateau[0] - lo) > PLATEAU_TOL or not (in_tail or abs(plateau[1] - hi) <= PLATEAU_TOL):
+        # past tail_start the scan cannot tell the ages of a kept last cell apart
+        if plateau[1] == math.inf:
+            end_agrees = hi >= report.tail_start - _spacing(report.tail_start)
+        else:
+            end_agrees = abs(plateau[1] - hi) <= _spacing(plateau[1])
+        if abs(plateau[0] - lo) > _spacing(plateau[0]) or not end_agrees:
             return (
                 f"plateau mismatch: closed form [{lo!r}, {hi!r}] vs "
                 f"search [{plateau[0]!r}, {plateau[1]!r}]"
@@ -383,7 +366,7 @@ def check_against_search(params: AssetParams, result) -> str | None:
     tie_band = report.min_value + TIE_RTOL * abs(report.min_value)
     for point, cost in zip(claimed.values, property_cost(params, claimed.values)):
         in_plateau = plateau is not None and (
-            plateau[0] - PLATEAU_TOL <= point <= plateau[1] + PLATEAU_TOL
+            plateau[0] - _spacing(plateau[0]) <= point <= plateau[1] + _spacing(plateau[1])
         )
         if not (in_plateau or cost <= tie_band and any(lo <= point <= hi for lo, hi in report.brackets)):
             return (

@@ -20,6 +20,7 @@ from econlife import (
     acquisition_threshold,
     brute_force_minimize,
     check_against_search,
+    cost_model,
     economic_life,
     integrate_discounted_maintenance,
     interior_minimum_age,
@@ -219,30 +220,38 @@ def test_search_verifies_wide_ratio_assets():
 
 
 def test_check_against_search_agrees_past_the_horizon():
-    # The optimum lies at 1,000,001 y, past the full-depreciation age of 1e6 y.
-    # From about 17 y on the cost ties its limit h(inf), so the scan keeps
-    # its tail from there on as a plateau open to infinity.
-    p = AssetParams(1e6, 1.0, 1.0, 1.0)
-    assert check_against_search(p, economic_life(p)) is None
+    for p in (
+        # The optimum lies at 1,000,001 y, past the full-depreciation age of
+        # 1e6 y.  From about 17 y on the cost ties its limit h(inf), so the
+        # scan keeps the cells from there to inf as a plateau open to infinity.
+        AssetParams(1e6, 1.0, 1.0, 1.0),
+        # Optima at 3.4e6 y, 1.2e6 y and 5.1e81 y, where the capital and
+        # maintenance pieces cancel across a long flat stretch: a grid of
+        # 1e-3 y steps passed its point budget before it settled them.
+        AssetParams(467868.52795063704, 1.6002674224095768e-06, 1977.6761513093934, 1.1398598269590886e-05),
+        AssetParams(237417.32267545362, 2.2930989474818324e-06, 859811.547558511, 1.1041577490332767e-05),
+        AssetParams(1.4504029835243377e+30, 8.614985459036953e-58, 5520073410997.727, 3.0231032535690386e-06),
+    ):
+        assert check_against_search(p, economic_life(p)) is None, p
 
 
-def test_check_against_search_is_inconclusive_over_the_grid_budget():
-    # The optimum lies at 1.01e7 y and the cost reaches its limit only at
-    # about 4.3e6 y.  Across that flat stretch the cost's two pieces cancel,
-    # so their bounds settle few cells of the 1e-3 y grid: the scan would
-    # evaluate more points than the budget allows, and the check gives up as
-    # soon as a level of the scan would pass it.
+def test_check_against_search_settles_a_long_flat_stretch_quickly():
+    # The optimum lies at 1.01e7 y and the cost ties its limit from about
+    # 2.7e6 y on.  Across that flat stretch the cost's two pieces cancel, so
+    # their bounds settle few cells of width 1e-3 y, and a scan of such cells
+    # passed its point budget; cells a 10,000th of their age wide settle it
+    # in a few milliseconds.
     p = AssetParams(1.0, 1e-12, 1.0, 1e-5)
     start = time.perf_counter()
     verdict = check_against_search(p, economic_life(p))
     assert time.perf_counter() - start < 1.0
-    assert verdict.startswith("verification inconclusive: ")
+    assert verdict is None
 
 
 def test_check_against_search_work_is_bounded_past_the_horizon(monkeypatch):
-    # Optima past rate * age = 686: a scan cut at 686 / rate would exceed
-    # the bound several times over; the scan whose tail starts at the flat
-    # age stays within it.
+    # Optima past rate * age = 686: a scan of 1e-3 y cells out to 686 / rate
+    # would exceed the bound several times over; the scan whose cells widen
+    # with age past 10 y stays within it.
     rng = np.random.default_rng(1)
     far = [AssetParams(1e6, 1.0, 1.0, 1.0)]
     while len(far) < 4:
@@ -277,40 +286,46 @@ EXACT_TIE = AssetParams(acquisition_threshold(INSTANCE_C4_1), 5.0, 20.0, 0.1)
 
 
 @pytest.mark.parametrize(
-    "params, t_max, step, tied_tail",
+    "params, tied_tail",
     [
-        (INSTANCE_C1, 10.0, 1e-3, False),
-        (INSTANCE_C4_3, 10.0, 1e-3, False),
-        (AssetParams(100.0, 1.6, 2.0, 0.8), 100.0, 1e-2, True),
-        (EXACT_TIE, 10.0, 1e-3, False),
-        (CAPPED_TIED_TAIL, 686.0, 5e-2, True),
-        (INSTANCE_C5, 10.0, 1e-2, False),
+        (INSTANCE_C1, False),
+        (INSTANCE_C4_3, False),
+        (AssetParams(100.0, 1.6, 2.0, 0.8), True),
+        (EXACT_TIE, False),
+        (CAPPED_TIED_TAIL, True),
+        (INSTANCE_C5, False),
     ],
     ids=["C1", "C4_3", "plateau", "exact_tie", "capped_tied_tail", "C5_in_the_tail"],
 )
-def test_scan_is_chunk_invariant(monkeypatch, params, t_max, step, tied_tail):
+def test_scan_is_chunk_invariant(monkeypatch, params, tied_tail):
     # Between them these grids hold cells wholly above the tie threshold,
     # wholly at or below it (the plateau and the tied tail) and across it,
     # the three cases the scan settles differently; C5's optimum at 18.4 y
-    # lies in the tail [10 y, inf), which the scan must cut.  However finely
-    # it splits its cells, it finds the grid minimum and the tied runs of the
-    # whole grid up to its last evaluated index, where the tail starts,
-    # evaluates no point twice, and keeps or drops the tail alike.
-    n = int(math.floor(t_max / step + 1e-9))
+    # lies past 10 y, where the grid spacing grows with age.  However finely
+    # the scan splits its cells, it finds the minimum and the tied runs of
+    # the whole grid, age inf included, and evaluates no point twice.  From
+    # rate * age = _HOLD on every grid value is h(inf) to the last bit, so
+    # the grid up to the first index there stands for all the later ones.
+    hold = oracle._LINEAR_END + math.ceil(
+        math.log(cost_model._HOLD / params.interest_rate / 10.0) / oracle._LOG_RATIO
+    )
+    values = property_cost(params, oracle._ages(np.arange(hold + 1)))
+    assert values[-1] == property_cost(params, math.inf)
+    h_min = values.min()
+    threshold = h_min + oracle.TIE_RTOL * abs(h_min)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], values <= threshold, [0])).astype(np.int8)))
+    whole_grid_runs = list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
+    if whole_grid_runs[-1][1] == hold:  # the run goes on to age inf
+        whole_grid_runs[-1] = (whole_grid_runs[-1][0], oracle._LAST)
+    assert (whole_grid_runs[-1][1] == oracle._LAST) == tied_tail
     reports = []
     for split in (2, 7, oracle._SPLIT):
         monkeypatch.setattr(oracle, "_SPLIT", split)
-        indices, scanned, h_min, kept = oracle._scan(params, n, step)
-        values = property_cost(params, np.arange(indices[-1] + 1, dtype=float) * step)
-        assert h_min == min(values.min(), property_cost(params, math.inf))
-        threshold = h_min + oracle.TIE_RTOL * abs(h_min)
-        edges = np.flatnonzero(np.diff(np.concatenate(([0], values <= threshold, [0])).astype(np.int8)))
-        whole_grid_runs = list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
+        indices, scanned, least = oracle._scan(params)
+        assert least == h_min
         assert np.array_equal(indices, np.unique(indices))
-        assert np.array_equal(scanned, values[indices])
-        assert scanned.min() == values.min()
+        assert np.array_equal(scanned, values[np.minimum(indices, hold)])
         assert oracle._tied_runs(indices, scanned <= threshold) == whole_grid_runs
-        assert kept == tied_tail
         reports.append(brute_force_minimize(params))
         assert (reports[-1].plateau is not None and reports[-1].plateau[1] == math.inf) == tied_tail
     assert len({(report.plateau, report.min_value) for report in reports}) == 1
@@ -335,8 +350,9 @@ def test_search_where_the_maintenance_cost_overflows(params):
 
 
 def test_search_verifies_a_row_whose_grid_holds_ten_billion_points():
-    # The flat age lies at about 2.35e7 y, so the 1e-3 y grid to it holds
-    # 2.35e10 points, yet the cost bounds settle almost all of them unevaluated.
+    # The cost ties its limit only from about 2.35e7 y on, where a grid of
+    # 1e-3 y steps would hold 2.35e10 points; the cost bounds settle almost
+    # all of the grid's cells unevaluated.
     p = AssetParams(97190.81438747907, 3.6293333163775402e-06, 2.3092237057599535e-06, 1.322188696851144e-06)
     assert check_against_search(p, economic_life(p)) is None
 
@@ -350,20 +366,26 @@ def test_check_against_search_does_not_read_the_interior_age():
 
 
 def test_search_verifies_a_row_whose_horizon_passes_2_62_grid_points():
-    # The full-depreciation age is about 1e59 y and the flat age 2.3e19 y, so
-    # a scan to either would need more than 2^62 grid points; the tail from
-    # 7.2e13 y on lies far above the minimum at age 0 and is dropped.
+    # The full-depreciation age is about 1e59 y and the cost ties its limit
+    # from about 2.3e19 y on, so a grid of 1e-3 y steps to either would hold
+    # more than 2^62 points; the cells past 10 y lie far above the minimum at
+    # age 0 and are dropped.
     p = AssetParams(1.079585349272943e-40, 5.136757683947801e+74, 1.1299543882839842e-99, 1.3269111341329422e-18)
     assert check_against_search(p, economic_life(p)) is None
 
 
 def test_a_known_wrong_cost_stays_a_mismatch_past_2_62_grid_points():
-    # The closed form calls this C1 at cost 2.7e-157, but the cost falls far
-    # below that past the full-depreciation age of 1.2e-20 y (a known wrong
-    # answer).  The scan gives up at 2^62 grid points, yet it has evaluated
-    # costs that undercut the claim, so the check names the mismatch.
-    p = AssetParams(3.272942103383382e-177, 4.127341197816655e-234, 2.7033611022228657e-157, 2.5684623474568874e-233)
-    assert check_against_search(p, economic_life(p)).startswith("min cost mismatch")
+    # Known wrong answers of the closed form, whose optima a grid of 1e-3 y
+    # steps could not reach in 2^62 points.  The first is called C1 at cost
+    # 2.7e-157, but the cost falls far below that past the full-depreciation
+    # age of 1.2e-20 y.  The second is called C1 at cost 3.2e-59, but the
+    # cost at 2.4e60 y is 1.3e-96: b r underflows to 0, so the closed form's
+    # slope threshold reads 0.
+    for p in (
+        AssetParams(3.272942103383382e-177, 4.127341197816655e-234, 2.7033611022228657e-157, 2.5684623474568874e-233),
+        AssetParams(1.5419855818383203e-36, 5.4749114289142463e-157, 3.1548510694144076e-59, 1.0261909482037181e-271),
+    ):
+        assert check_against_search(p, economic_life(p)).startswith("min cost mismatch"), p
 
 
 def test_a_scan_that_gives_up_still_refutes_a_cost_it_undercuts(monkeypatch):
@@ -377,24 +399,63 @@ def test_a_scan_that_gives_up_still_refutes_a_cost_it_undercuts(monkeypatch):
 
 
 def test_a_tail_whose_costs_lie_far_below_the_grid_is_never_kept():
-    # The optimum lies at 1.3e67 y and costs 1.0e4, while every cost on the
-    # grid short of 2^62 points lies above 1e12.  The tail's upper bound
-    # exceeds h(inf) only by its capital piece, so were h(inf) left out of the
-    # least value, the tail would tie the grid's minimum and be kept
-    # unevaluated, and the check would report a false "min cost mismatch".
+    # The optimum lies at 1.3e67 y and costs 1.0e4.  The cost falls like
+    # 1/age from 1.8e28 at 1 y and ties its limit h(inf) only from about
+    # 5e25 y on, so it lies above 1e22 at every age the first evaluation
+    # takes short of inf.  The upper bound of the last cell, which ends at
+    # inf, exceeds h(inf) only by the capital piece at its start, so were
+    # h(inf), the value at the last grid point, left out of the least value,
+    # that cell would tie the least value and be kept unevaluated, and the
+    # check would report a false "min cost mismatch".
     p = AssetParams(1.7612545252373111e28, 7.746909620965645e-64, 7.923062032020201e51, 5.875792517486833e-25)
-    assert check_against_search(p, economic_life(p)).startswith("verification inconclusive: ")
+    assert check_against_search(p, economic_life(p)) is None
 
 
 def test_an_open_plateau_agrees_with_an_interval_that_ends_in_the_tail():
-    # The C2 interval [0, 5.2e18 y] ends at the junction.  From the first cut
-    # at 10 y on the cost ties its minimum, so the scan keeps the tail
+    # The C2 interval [0, 5.2e18 y] ends at the junction.  The cost ties its
+    # minimum at every age, so the scan keeps its first cells, up to 10 y, up
+    # to a 64th of the geometric indices (6.3e5 y) and on to inf,
     # unevaluated and reports the plateau [0, inf): it cannot tell where in
-    # the tail the interval ends, but the ages it did evaluate pin the start.
+    # the last cell the interval ends, but the ages it did evaluate pin the
+    # start.
     p = AssetParams(7771.686176112378, 2.371737727930388e-16, 1.5080063814474131e-15, 0.15727637211017295)
     result = economic_life(p)
     report = brute_force_minimize(p)
-    assert report.plateau == (0.0, math.inf) and report.tail_start == 10.0
+    first_cut = oracle._LINEAR_END + (oracle._LAST - oracle._LINEAR_END) // oracle._SPLIT
+    assert report.plateau == (0.0, math.inf) and report.tail_start == oracle._ages(first_cut)
     assert check_against_search(p, result) is None
     short = dataclasses.replace(result, minimizers=MinimizerSet("interval", (0.0, 5.0)))
     assert check_against_search(p, short).startswith("plateau mismatch")
+
+
+def test_the_grid_runs_from_zero_to_inf():
+    # GRID_STEP apart up to 10 y, then a 10,000th of the age apart, so the
+    # spacing is continuous at 10 y; the last index is age inf and the one
+    # before it finite.  The overflow to inf raises no RuntimeWarning.
+    last = oracle._LAST
+    ages = oracle._ages(np.array([0, 1, oracle._LINEAR_END - 1, oracle._LINEAR_END, oracle._LINEAR_END + 1, last - 1, last]))
+    assert ages[:5].tolist() == [0.0, oracle.GRID_STEP, 9.999, 10.0, pytest.approx(10.001, rel=1e-12)]
+    assert math.isfinite(ages[5]) and ages[5] > 1e308 and ages[6] == math.inf
+    grid = oracle._ages(np.arange(0, last + 1, 997))
+    assert np.all(np.diff(grid) > 0.0)
+
+
+def test_age_inf_opens_no_zoom_bracket(monkeypatch):
+    # Where the cost's least grid value is h(inf), as for the optimum at
+    # 5.1e81 y, the last grid index, age inf, is the grid's argmin.  Its cost
+    # is the grid's own value there, so no zoom starts from it, nor reaches
+    # it from the index before.
+    zoom = oracle._zoom
+    brackets = []
+
+    def recording(params, lo, hi):
+        brackets.extend(zip(lo.tolist(), hi.tolist()))
+        return zoom(params, lo, hi)
+
+    monkeypatch.setattr(oracle, "_zoom", recording)
+    far = AssetParams(1.4504029835243377e+30, 8.614985459036953e-58, 5520073410997.727, 3.0231032535690386e-06)
+    assert brute_force_minimize(far).argmin_points == (math.inf,)
+    for p in (INSTANCE_C1, INSTANCE_C5, CAPPED_TIED_TAIL, AssetParams(1e6, 1.0, 1.0, 1.0)):
+        brute_force_minimize(p)
+    last_finite = oracle._ages(np.array(oracle._LAST - 1))
+    assert brackets and all(lo < last_finite and hi <= last_finite for lo, hi in brackets)
