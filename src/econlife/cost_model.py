@@ -100,7 +100,7 @@ def _kernel(params: AssetParams, ages):
         np.divide(x, p, out=p)
         m /= r
         m *= a
-        small = np.flatnonzero(x < _SERIES_CUTOFF)
+        small = (x < _SERIES_CUTOFF).nonzero()[0]
         if small.size:  # most calls have no such point: skip the work on empty arrays
             s = x[small]
             ratio = 0.5 - s * (1.0 / 12.0 - s * s / 720.0)  # q/x

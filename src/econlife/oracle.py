@@ -23,9 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view as windows
 
-from .cost_model import AssetParams, cost_of_pieces, cost_pieces, property_cost
+from .cost_model import AssetParams, cost_pieces, property_cost
 from .errors import NumericError
 
 __all__ = [
@@ -58,10 +57,14 @@ _SPLIT = 64
 _LINEAR_END = 10_000
 _LOG_RATIO = math.log1p(1.0 / _LINEAR_END)
 _LAST = _LINEAR_END + math.ceil(math.log(np.finfo(float).max / (_LINEAR_END * GRID_STEP)) / _LOG_RATIO)
-# Factors widening a scan cell's (lower, upper) cost bound for rounded pieces.
-_BOUND_SLACK = 1.0 + np.array([-64.0, 64.0]) * np.finfo(float).eps
+# Factors widening a scan cell's upper and lower cost bound for rounded pieces.
+_BOUND_SLACK = 1.0 + np.array([[64.0], [-64.0]]) * np.finfo(float).eps
 # Each zoom grid narrows a bracket 32-fold.
 _ZOOM_POINTS = 65
+# At most two genuine basins exist (the left boundary and the interior
+# optimum); extra candidates only ever arise from rounding jitter in flat
+# stretches, so a small fixed budget loses nothing.
+_MAX_BASINS = 16
 
 
 @dataclass(frozen=True)
@@ -147,16 +150,18 @@ def brute_force_minimize(params: AssetParams) -> MinimizationReport:
     argmin_index, h_zero = int(indices[np.argmin(values)]), float(values[0])
     runs = _tied_runs(indices, values <= h_min + TIE_RTOL * abs(h_min))
     start, end = max(runs, key=lambda run: run[1] - run[0])
-    plateau = tuple(_ages(np.array([start, end])).tolist()) if end - start + 1 >= PLATEAU_MIN_POINTS else None
-
     # Age inf opens no bracket: its cost h(inf) is the grid's last value.
     basins = np.array(sorted((set(_basins(indices, values)) | {argmin_index}) - {_LAST}), dtype=np.int64)
-    lows, highs = _ages(np.stack([np.maximum(basins - 1, 0), np.minimum(basins + 1, _LAST - 1)]))
-    locations, values = _zoom(params, lows.copy(), highs.copy())
+    # The ages of the brackets' ends, then of the plateau's ends, the argmin and tail_start.
+    marks = [start, end, argmin_index, indices[-2]]
+    ages = _ages(np.concatenate((np.maximum(basins - 1, 0), np.minimum(basins + 1, _LAST - 1), marks)))
+    lows, highs = ages[: basins.size], ages[basins.size : -4]
+    start_age, end_age, argmin_age, tail_start = ages[-4:].tolist()
+    plateau = (start_age, end_age) if end - start + 1 >= PLATEAU_MIN_POINTS else None
+    locations, values = _zoom(params, lows, highs)
     # The first two brackets reach down to age 0, whose cost the grid holds.
     at_zero = (basins <= 1) & (h_zero <= values)
-    locations[at_zero] = 0.0
-    values[at_zero] = h_zero
+    locations[at_zero], values[at_zero] = 0.0, h_zero
 
     best_value = min(float(values.min(initial=math.inf)), h_min)
     tie_band = best_value + TIE_RTOL * abs(best_value)
@@ -172,18 +177,11 @@ def brute_force_minimize(params: AssetParams) -> MinimizationReport:
         points.append(location)
         brackets.append((lo, hi))
     if not points:  # the plateau holds every tied basin: any tied point stands for it
-        age = float(_ages(np.array(argmin_index)))
-        points, brackets = [age], [(age, age)]
+        points, brackets = [argmin_age], [(argmin_age, argmin_age)]
     return MinimizationReport(
         argmin_points=tuple(points), brackets=tuple(brackets), plateau=plateau, min_value=best_value,
-        refinements=len(basins), tail_start=float(_ages(indices[-2])),
+        refinements=len(basins), tail_start=tail_start,
     )
-
-
-# At most two genuine basins exist (the left boundary and the interior
-# optimum); extra candidates only ever arise from rounding jitter in flat
-# stretches, so a small fixed budget loses nothing.
-_MAX_BASINS = 16
 
 
 def _ages(indices):
@@ -208,67 +206,70 @@ def _scan(params):
     """The grid points that can tie the cost's minimum, by branch and bound.
 
     A cell [lo, hi] of grid indices carries the pieces D and I of
-    ``cost_pieces`` at both ends; at the last index, age inf, these are
-    their limits D = 0 and I = a/r.  D never rises and I never falls, so
-    each cost in a cell lies between the cost of D(hi) and I(lo) and that of
-    D(lo) and I(hi).  The first cells end at 10 y, at a 64th of the
-    geometric indices (6.3e5 y) and at inf: a first split of [10 y, inf)
-    would spend 63 of its points past 6e5 y and cost most rows one more
-    level.  Each level drops the cells whose lower
-    bound lies above the tie threshold of the least value so far and keeps
-    those whose upper bound does not; in one cost evaluation it fills in the
-    other cells of at most ``_SPLIT`` indices and splits the rest ``_SPLIT``
-    ways, until no cell is left to split.  Raises ``ScanGaveUp`` past
-    ``GRID_BUDGET`` points.  Returns the evaluated indices in increasing
-    order, their costs and the least value.
+    ``cost_pieces`` at both ends (at age inf, their limits D = 0 and
+    I = a/r).  D never rises and I never falls, so each cost in a cell lies
+    between the cost of D(hi) and I(lo) and that of D(lo) and I(hi).  The
+    cells are the columns of one float array with rows lo, D(lo), I(lo),
+    I(hi), D(hi), hi (indices lie below 2^53, so floats hold them exactly):
+    rows 1:3 plus rows 3:5 are the pieces of the upper and lower bounds.
+    The first cells end at 10 y, at a 64th of the geometric indices
+    (6.3e5 y) and at inf: a first split of [10 y, inf) would spend 63 of
+    its points past 6e5 y and cost most rows one more level.  Each level
+    drops the cells whose lower bound lies above the tie threshold of the
+    least value so far and keeps those whose upper bound does not; in one
+    cost evaluation it fills in the other cells of at most ``_SPLIT``
+    indices and splits the rest ``_SPLIT`` ways, until no cell is left to
+    split.  Raises ``ScanGaveUp`` past ``GRID_BUDGET`` points.  Returns the
+    evaluated indices in increasing order, their costs and the least value.
     """
     steps = np.arange(_SPLIT + 1)
     first = np.array([0, _LINEAR_END, _LINEAR_END + (_LAST - _LINEAR_END) // _SPLIT, _LAST])
     d, i, h = cost_pieces(params, _ages(first))
-    indices, values, h_min = [first], [h], float(h.min())
-    cells = np.array([[0, 1], [1, 2], [2, 3]])
-    spans, pieces = first[cells], np.stack([d, i], axis=-1)[cells]  # pieces: [cell, end, (D, I)]
+    indices, values, h_min, evaluated = [first], [h], float(h.min()), first.size
+    ends = np.array([first, d, i], dtype=float)
+    cells = np.concatenate((ends[:, :-1], ends[::-1, 1:]))
+    r = params.interest_rate
     while True:
         threshold = h_min + TIE_RTOL * abs(h_min)
-        lower, upper = (cost_of_pieces(params, pieces[:, ::-1, 0], pieces[:, :, 1]) * _BOUND_SLACK).T
-        keep = lower <= threshold
-        split = keep & (upper > threshold)
-        if not split.any():
+        # cost_of_pieces of the bounds' pieces, in its operation order, then widened
+        bounds = (cells[1:3] + cells[3:5] + params.acquisition_cost * r) * (math.expm1(r) / r) * _BOUND_SLACK
+        keep = bounds[1] <= threshold
+        split = keep & (bounds[0] > threshold)
+        parts = cells.compress(split, axis=1)
+        if not parts.size:
             break
-        kept_spans, kept_pieces = spans[keep & ~split], pieces[keep & ~split]
-        spans, pieces = spans[split], pieces[split]
-
-        widths = spans[:, 1] - spans[:, 0]
-        small = widths <= _SPLIT
-        gaps = widths[small] - 1
-        inside = np.repeat(spans[small, 0] + 1 - (np.cumsum(gaps) - gaps), gaps) + np.arange(gaps.sum())
-        wide = widths[~small, None]
-        cuts = spans[~small, :1] + (wide // _SPLIT) * steps + (wide % _SPLIT) * steps // _SPLIT
-        new = np.concatenate([inside, cuts[:, 1:-1].ravel()])
-        if new.size + sum(map(len, indices)) > GRID_BUDGET:
+        kept = cells.compress(keep ^ split, axis=1)  # split lies within keep
+        small = parts[5] - parts[0] <= _SPLIT
+        inside = parts[0, :, None] + steps[1:-1]
+        inside = inside[small[:, None] & (inside < parts[5, :, None])]
+        cut = parts.compress(~small, axis=1)
+        edges = np.empty((3, cut.shape[1], _SPLIT + 1))  # index, D and I at each cut
+        edges[0] = cut[0, :, None] + (cut[5] - cut[0]).astype(np.int64)[:, None] * steps // _SPLIT
+        new = np.concatenate((inside, edges[0, :, 1:-1]), axis=None)
+        evaluated += new.size
+        if evaluated > GRID_BUDGET:
             raise ScanGaveUp(f"the scan needs more than {GRID_BUDGET} cost evaluations", h_min)
         d, i, h = cost_pieces(params, _ages(new))
         indices.append(new)
         values.append(h)
         h_min = min(h_min, float(h.min(initial=math.inf)))
-
-        cut_pieces = np.stack([d, i], axis=-1)[inside.size :].reshape(-1, _SPLIT - 1, 2)
-        edges = np.concatenate([pieces[~small, :1], cut_pieces, pieces[~small, 1:]], axis=1)
-        spans = np.concatenate([kept_spans, windows(cuts, 2, axis=1).reshape(-1, 2)])
-        pieces = np.concatenate([kept_pieces, windows(edges, 2, axis=1).swapaxes(2, 3).reshape(-1, 2, 2)])
+        edges[1:, :, 0], edges[1:, :, -1] = cut[1:3], cut[4:2:-1]
+        edges[1, :, 1:-1] = d[inside.size :].reshape(-1, _SPLIT - 1)
+        edges[2, :, 1:-1] = i[inside.size :].reshape(-1, _SPLIT - 1)
+        halves = np.concatenate((edges[:, :, :-1], edges[::-1, :, 1:])).reshape(6, -1)
+        cells = np.concatenate((kept, halves), axis=1)
     indices, values = np.concatenate(indices), np.concatenate(values)
     order = np.argsort(indices)
-    return indices[order], values[order], h_min
+    return indices[order].astype(np.int64), values[order], h_min
 
 
 def _basins(indices, values):
     """The ``_MAX_BASINS`` least strict local minima of evaluated neighbours, and age 0."""
     adjacent = np.diff(indices) == 1
     falls, rises = values[1:] < values[:-1], values[1:] > values[:-1]
-    strict = 1 + np.flatnonzero(adjacent[:-1] & adjacent[1:] & falls[:-1] & rises[1:])
+    strict = (adjacent[:-1] & adjacent[1:] & falls[:-1] & rises[1:]).nonzero()[0] + 1
     strict = strict[np.lexsort((indices[strict], values[strict]))[:_MAX_BASINS]]
-    first = [] if (adjacent[:1] & falls[:1]).any() else [0]
-    return indices[strict].tolist() + first
+    return indices[strict].tolist() + ([] if adjacent[0] and falls[0] else [0])
 
 
 def _tied_runs(indices, tied):
@@ -278,12 +279,12 @@ def _tied_runs(indices, tied):
     the bounds of a dropped cell put all its points above the threshold, and
     those of a kept cell put them all at or below it.
     """
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], tied, [0])).astype(np.int8)))
+    edges = np.diff(np.concatenate(([0], tied, [0])).astype(np.int8)).nonzero()[0]
     return list(zip(indices[edges[::2]].tolist(), indices[edges[1::2] - 1].tolist()))
 
 
 def _zoom(params, lo, hi):
-    """Best grid point and value in each bracket [lo[k], hi[k]].
+    """Best grid point and value in each bracket [lo[k], hi[k]]; lo and hi are left as given.
 
     Every level lays a ``_ZOOM_POINTS`` grid over each bracket still open,
     in one cost evaluation for all of them, and narrows it to the two
@@ -294,24 +295,23 @@ def _zoom(params, lo, hi):
     long before subnormal ages.  The level count would narrow the widest
     bracket below the least positive double, so every bracket closes.
     """
-    fractions = np.linspace(0.0, 1.0, _ZOOM_POINTS)
+    fractions = np.arange(_ZOOM_POINTS) / (_ZOOM_POINTS - 1)
     best_ages, best_values = np.empty(len(lo)), np.empty(len(lo))
-    open_rows = np.arange(len(lo))
+    rows = np.arange(len(lo))  # the brackets still open; lo and hi hold theirs
     widest = max(float((hi - lo).max(initial=0.0)), math.ulp(0.0))
-    narrowing = (_ZOOM_POINTS - 1) / 2
-    levels = max(1, math.ceil((math.log(widest) - math.log(math.ulp(0.0))) / math.log(narrowing)))
+    levels = max(1, math.ceil((math.log(widest) - math.log(math.ulp(0.0))) / math.log((_ZOOM_POINTS - 1) / 2)))
     for _ in range(levels):
-        ages = lo[open_rows, None] + (hi - lo)[open_rows, None] * fractions
-        values = property_cost(params, ages.ravel()).reshape(ages.shape)
-        rows = np.arange(len(open_rows))
-        best = np.argmin(values, axis=1)
-        least = values[rows, best]
-        best_ages[open_rows], best_values[open_rows] = ages[rows, best], least
-        lo[open_rows] = ages[rows, np.maximum(best - 1, 0)]
-        hi[open_rows] = ages[rows, np.minimum(best + 1, _ZOOM_POINTS - 1)]
-        open_rows = open_rows[values.max(axis=1) > least + TIE_RTOL * np.abs(least)]
-        if not open_rows.size:
+        ages = lo[:, None] + (hi - lo)[:, None] * fractions
+        values = property_cost(params, ages)
+        best = values.argmin(axis=1)
+        flat = best + np.arange(0, values.size, _ZOOM_POINTS)  # into the flattened grids
+        least = values.take(flat)
+        best_ages[rows], best_values[rows] = ages.take(flat), least
+        still = values.max(axis=1) > least + TIE_RTOL * np.abs(least)
+        rows, flat, best = rows[still], flat[still], best[still]
+        if not rows.size:
             break
+        lo, hi = ages.take([flat - (best > 0), flat + (best < _ZOOM_POINTS - 1)])
     return best_ages, best_values
 
 

@@ -335,6 +335,46 @@ def test_scan_is_chunk_invariant(monkeypatch, params, tied_tail):
         assert all(reports[0].plateau[0] <= report.argmin_points[0] <= reports[0].plateau[1] for report in reports)
 
 
+@pytest.mark.parametrize("params", [INSTANCE_C1, INSTANCE_C5, EXACT_TIE, CAPPED_TIED_TAIL])
+def test_the_scan_finishes_on_a_budget_of_exactly_its_points(monkeypatch, params):
+    # GRID_BUDGET bounds the points of all the scan's cost evaluations
+    # together: a budget of exactly that many lets it finish, one fewer
+    # stops it before the evaluation that would pass the budget.
+    sizes = []
+
+    def counting_pieces(p, ages):
+        sizes.append(np.size(ages))
+        return cost_pieces(p, ages)
+
+    monkeypatch.setattr(oracle, "cost_pieces", counting_pieces)
+    indices, values, least = oracle._scan(params)
+    calls = sizes.copy()
+    assert len(calls) > 2 and sum(calls) == indices.size
+    monkeypatch.setattr(oracle, "GRID_BUDGET", indices.size)
+    again = oracle._scan(params)
+    assert np.array_equal(again[0], indices) and np.array_equal(again[1], values) and again[2] == least
+    monkeypatch.setattr(oracle, "GRID_BUDGET", indices.size - 1)
+    sizes.clear()
+    with pytest.raises(oracle.ScanGaveUp):
+        oracle._scan(params)
+    assert sizes == calls[:-1]
+
+
+def test_zoom_refines_each_bracket_as_if_it_were_alone():
+    # One batched zoom narrows each bracket by its own values only, whatever
+    # the other brackets are, however wide, and however many levels they
+    # take to close.  The brackets are left as they were passed.
+    interior = economic_life(EXACT_TIE).minimizers.values[1]
+    lo = np.array([0.0, interior - 1e-3, 1.0, 7.5, 0.5 * interior, 3e5])
+    hi = np.array([1e-3, interior + 1e-3, 1e3, 7.5, 2.0 * interior, 1e300])
+    given = (lo.copy(), hi.copy())
+    together = oracle._zoom(EXACT_TIE, lo, hi)
+    assert np.array_equal(lo, given[0]) and np.array_equal(hi, given[1])
+    alone = [oracle._zoom(EXACT_TIE, lo[k : k + 1], hi[k : k + 1]) for k in range(lo.size)]
+    assert together[0].tobytes() == np.concatenate([ages for ages, _ in alone]).tobytes()
+    assert together[1].tobytes() == np.concatenate([values for _, values in alone]).tobytes()
+
+
 @pytest.mark.parametrize(
     "params",
     [
