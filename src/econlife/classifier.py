@@ -25,7 +25,6 @@ case analysis.  Everything here is scalar ``math``.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -145,6 +144,11 @@ def gap(tau: float) -> float:
 _GAP_SERIES_CUTOFF = 1e-3
 
 
+def _gap_series(x: float) -> float:
+    """2 gap(x) / x^2 = 1 - x/3 + x^2/12 - x^3/60 + x^4/360 - ..., for x below the cutoff."""
+    return 1.0 + x * (-1.0 / 3.0 + x * (1.0 / 12.0 + x * (-1.0 / 60.0 + x / 360.0)))
+
+
 def _gap_ratio(x: float) -> float:
     """gap(x) / x for x >= 0, in [0, 1].
 
@@ -152,8 +156,7 @@ def _gap_ratio(x: float) -> float:
     underflows where gap(x) ~ x^2/2 does nor rounds above 1 at large x.
     """
     if x < _GAP_SERIES_CUTOFF:
-        # (e^-x - 1 + x)/x = (x/2)(1 - x/3 + x^2/12 - x^3/60 + x^4/360 - ...)
-        return 0.5 * x * (1.0 + x * (-1.0 / 3.0 + x * (1.0 / 12.0 + x * (-1.0 / 60.0 + x / 360.0))))
+        return 0.5 * x * _gap_series(x)
     return 1.0 + math.expm1(-x) / x
 
 
@@ -178,19 +181,24 @@ def slope_threshold(params: AssetParams) -> float:
     above it, the cost is increasing beyond the junction.  Equal to
     depreciation_rate * interest_rate * x / gap(x) with x = rate * junction,
     and never below depreciation_rate * interest_rate, also after rounding;
-    infinite when x underflows to 0.
+    it tends to 2 b^2 / A as x tends to 0.
     """
+    b = params.depreciation_rate
     r = params.interest_rate
-    ratio = _gap_ratio(r * params.junction)
-    speed = params.depreciation_rate * r
-    return speed / ratio if ratio > 0.0 else math.inf
+    x = r * params.junction
+    if x < _GAP_SERIES_CUTOFF:
+        # b r / gap_ratio(x) = 2 b^2 / (A series(x)), formed without b r or r / x;
+        # sqrt(A) is normal, so b / sqrt(A) leaves the range only where the
+        # threshold does, unlike b / A at a subnormal A
+        root = b / math.sqrt(params.acquisition_cost)
+        return 2.0 * root * root / _gap_series(x)
+    return b * (r / _gap_ratio(x))
 
 
 # Below this ratio q = b r / a, -log1p(-q) - q cancels to ~2 eps/q of its
 # value and, once q^2/2 underflows, rounds below zero; the series to q^10/10
 # is exact to a few ulp there.
 _LOG_SERIES_CUTOFF = 0.02
-_TINY = sys.float_info.min
 
 
 def acquisition_threshold(params: AssetParams) -> float:
@@ -202,28 +210,20 @@ def acquisition_threshold(params: AssetParams) -> float:
     """
     a = params.maint_slope
     b = params.depreciation_rate
-    r = params.interest_rate
-    q = b * r / a
+    q = b * params.interest_rate / a
     if q >= 1.0:
         raise ValueError(
             "acquisition_threshold requires maint_slope > depreciation_rate * interest_rate"
         )
     if q < _LOG_SERIES_CUTOFF:
-        # -log1p(-q) - q = q^2/2 + q^3/3 + ..., and (a/r^2) q^2 = (b/r) q = b (b/a);
-        # the last form serves where b r, q or b / r leaves the normal range
+        # phi = (-log1p(-q) - q) / q^2 = 1/2 + q/3 + q^2/4 + ...
         tail = 1.0 / 6.0 + q * (1.0 / 7.0 + q * (1.0 / 8.0 + q * (1.0 / 9.0 + q / 10.0)))
-        series = 0.5 + q * (1.0 / 3.0 + q * (0.25 + q * (0.2 + q * tail)))
-        lead = (b / r) * q
-        if b * r >= _TINY and q >= _TINY and lead < math.inf:
-            return lead * series
-        return b * (b / a * series)
-    r_sq = r * r
-    if r_sq >= _TINY and b / r < math.inf:
-        return -(a / r_sq) * math.log1p(-q) - b / r
-    # a / r^2 would lose digits in a subnormal r^2 or divide by 0, and meet an
-    # overflowing b / r as inf - inf; dividing by r last overflows only where
-    # the threshold itself does.
-    return (-(a / r) * math.log1p(-q) - b) / r
+        phi = 0.5 + q * (1.0 / 3.0 + q * (0.25 + q * (0.2 + q * tail)))
+    else:
+        phi = (-math.log1p(-q) - q) / (q * q)
+    # (a / r^2) q^2 = b^2 / a, formed without r^2 or b / r; a / b, unlike b / a
+    # at a subnormal a, is finite and nonzero wherever the threshold is normal
+    return b * phi / (a / b)
 
 
 def classify(params: AssetParams) -> CaseLabel:

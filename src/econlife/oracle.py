@@ -147,7 +147,7 @@ def brute_force_minimize(params: AssetParams) -> MinimizationReport:
     when the scan gives up.
     """
     indices, values, h_min = _scan(params)
-    argmin_index, h_zero = int(indices[np.argmin(values)]), float(values[0])
+    argmin_index = int(indices[np.argmin(values)])
     runs = _tied_runs(indices, values <= h_min + TIE_RTOL * abs(h_min))
     start, end = max(runs, key=lambda run: run[1] - run[0])
     # Age inf opens no bracket: its cost h(inf) is the grid's last value.
@@ -159,9 +159,6 @@ def brute_force_minimize(params: AssetParams) -> MinimizationReport:
     start_age, end_age, argmin_age, tail_start = ages[-4:].tolist()
     plateau = (start_age, end_age) if end - start + 1 >= PLATEAU_MIN_POINTS else None
     locations, values = _zoom(params, lows, highs)
-    # The first two brackets reach down to age 0, whose cost the grid holds.
-    at_zero = (basins <= 1) & (h_zero <= values)
-    locations[at_zero], values[at_zero] = 0.0, h_zero
 
     best_value = min(float(values.min(initial=math.inf)), h_min)
     tie_band = best_value + TIE_RTOL * abs(best_value)

@@ -1,4 +1,5 @@
 import math
+import sys
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
@@ -97,8 +98,9 @@ def test_slope_threshold_equivalent_to_gap_comparison(p):
 
 
 def test_acquisition_threshold_example():
-    # frozen from a 60-digit evaluation of -(a/r^2) ln(1 - b r / a) - b / r
-    assert acquisition_threshold(INSTANCE_C4_1) == pytest.approx(55.4128118829953, rel=1e-14)
+    # a 60-digit evaluation of -(a/r^2) ln(1 - b r / a) - b / r, rounded to a double
+    exact = Decimal("55.4128118829953428521859178138175261112845888860528456411001")
+    assert acquisition_threshold(INSTANCE_C4_1) == float(exact)
 
 
 def test_acquisition_threshold_requires_fast_maintenance_growth():
@@ -185,6 +187,46 @@ def test_acquisition_threshold_where_intermediates_leave_the_normal_range(params
     assert acquisition_threshold(params) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
 
+def test_both_thresholds_over_the_whole_domain():
+    # A, a and b log-uniform over +-300 decades, rate over [1e-300, 1]:
+    # wherever a threshold is a normal double, it matches a 60-digit
+    # reference, also where b r, r * junction, r^2 or b / r leave the double
+    # range.  The slope threshold never rounds below b r.
+    rng = np.random.default_rng(7)
+    normal = Decimal(sys.float_info.min), Decimal(sys.float_info.max)
+    worst_tie = worst_slope = 0.0
+    for _ in range(1500):
+        A, a, b = (10.0 ** rng.uniform(-300.0, 300.0, 3)).tolist()
+        r = float(10.0 ** rng.uniform(-300.0, 0.0))
+        p = AssetParams(A, a, b, r)
+        slope = slope_threshold(p)
+        assert slope >= b * r, p
+        with localcontext(Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+            A, a, b, r = (Decimal(v) for v in (A, a, b, r))
+            x = r * A / b
+            exact = b * r * x / reference_gap(x)
+            if normal[0] <= exact <= normal[1]:
+                worst_slope = max(worst_slope, float(abs(Decimal(slope) - exact) / exact))
+            q = b * r / a
+            exact = a / (r * r) * reference_log_tail(q) if q < 1 else Decimal(0)
+            if normal[0] <= exact <= normal[1]:
+                worst_tie = max(worst_tie, float(abs(Decimal(acquisition_threshold(p)) - exact) / exact))
+    assert worst_tie <= 1e-13
+    assert worst_slope <= 5e-13
+
+
+def test_thresholds_stay_finite_at_a_subnormal_price_or_slope():
+    # b / A and b / a overflow here, although 2 b^2 / A = 2.0e306 and the tie
+    # threshold 5.4e307 are finite; the subnormal a / b keeps ~4 digits
+    p = AssetParams(1e-320, 1.0, 1e-7, 0.5)
+    assert slope_threshold(p) == pytest.approx(float(2 * Decimal(1e-7) ** 2 / Decimal(1e-320)), rel=1e-13)
+    p = AssetParams(1e300, 1e-320, 1e-6, 1e-315)
+    a, b, r = (Decimal(v) for v in (p.maint_slope, p.depreciation_rate, p.interest_rate))
+    with localcontext(Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        exact = a / (r * r) * reference_log_tail(b * r / a)
+    assert acquisition_threshold(p) == pytest.approx(float(exact), rel=1e-3)
+
+
 # r * r underflows to 0 and b / r overflows; the exact tie threshold, about
 # 4e326, lies past the double range.  It used to raise ZeroDivisionError.
 OVERFLOWING_THRESHOLD = AssetParams(
@@ -244,6 +286,11 @@ def test_economic_life_names_an_overflowing_interior_optimum():
     [
         AssetParams(1.0, 1e-10, 1.0, 1e-200),  # r^2 underflows; was a ZeroDivisionError
         AssetParams(1e-300, 1e30, 1e-100, 1.0),  # A r^2 / a = 1e-330; was C4_3 at age 0, cost 0
+        # b r underflows to 0 too; a slope threshold formed from it read 0
+        # and called both C1, although the cost falls far below its value at
+        # age 0 past the junction
+        AssetParams(3.272942103383382e-177, 4.127341197816655e-234, 2.7033611022228657e-157, 2.5684623474568874e-233),
+        AssetParams(1.5419855818383203e-36, 5.4749114289142463e-157, 3.1548510694144076e-59, 1.0261909482037181e-271),
     ],
 )
 def test_economic_life_names_an_underflowing_cost_ratio(params):
@@ -352,7 +399,7 @@ def test_minimizer_set_validation():
     assert MinimizerSet.closed_interval(0.0, 5.0).values == (0.0, 5.0)
 
 
-def reference_gap(tau: float) -> Decimal:
+def reference_gap(tau: float | Decimal) -> Decimal:
     """gap(tau) in 60-digit decimal arithmetic, by its series below 1/2."""
     with localcontext(Context(prec=60)):
         t = Decimal(tau)

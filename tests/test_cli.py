@@ -28,7 +28,7 @@ C1,0,0,,31.5512754227,,0.1,9.38696899745,23.1435513142
 # The tie case C4_2 (acquisition pinned to the tie threshold) and the interval
 # case C2 (slope threshold rounded onto depreciation * rate), the two
 # minimizer kinds besides a single point.
-C4_2_FLAGS = ["--acquisition", "55.4128118829953", "--maint-slope", "5", "--depreciation", "20", "--rate", "0.1"]
+C4_2_FLAGS = ["--acquisition", "55.41281188299534", "--maint-slope", "5", "--depreciation", "20", "--rate", "0.1"]
 C2_FLAGS = [
     "--acquisition", "7771.686176112378", "--maint-slope", "2.371737727930388e-16",
     "--depreciation", "1.5080063814474131e-15", "--rate", "0.15727637211017295",
@@ -422,7 +422,7 @@ def test_fleet_boundary_row_has_secondary_minimizer(tmp_path, capsys):
     path = tmp_path / "edge.csv"
     path.write_text(
         "id,acquisition_cost,maint_slope,depreciation_rate,interest_rate\n"
-        "edge,55.4128118829953,5,20,0.1\n",
+        "edge,55.41281188299534,5,20,0.1\n",
         encoding="utf-8",
     )
     code, out, _ = run_cli(capsys, "fleet", "--input", str(path))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -415,17 +416,19 @@ def test_search_verifies_a_row_whose_horizon_passes_2_62_grid_points():
 
 
 def test_a_known_wrong_cost_stays_a_mismatch_past_2_62_grid_points():
-    # Known wrong answers of the closed form, whose optima a grid of 1e-3 y
-    # steps could not reach in 2^62 points.  The first is called C1 at cost
-    # 2.7e-157, but the cost falls far below that past the full-depreciation
-    # age of 1.2e-20 y.  The second is called C1 at cost 3.2e-59, but the
-    # cost at 2.4e60 y is 1.3e-96: b r underflows to 0, so the closed form's
-    # slope threshold reads 0.
+    # Wrong C1 claims, whose optima a grid of 1e-3 y steps could not reach in
+    # 2^62 points.  The first claims cost 2.7e-157 at age 0, but the cost
+    # falls far below that past the full-depreciation age of 1.2e-20 y.  The
+    # second claims cost 3.2e-59, but the cost at 2.4e60 y is 1.3e-96.  Where
+    # b r underflowed to 0, the closed form once made both claims.
     for p in (
         AssetParams(3.272942103383382e-177, 4.127341197816655e-234, 2.7033611022228657e-157, 2.5684623474568874e-233),
         AssetParams(1.5419855818383203e-36, 5.4749114289142463e-157, 3.1548510694144076e-59, 1.0261909482037181e-271),
     ):
-        assert check_against_search(p, economic_life(p)).startswith("min cost mismatch"), p
+        r = p.interest_rate
+        cost_at_zero = math.expm1(r) / r * (p.acquisition_cost * r + p.depreciation_rate)
+        claim = SimpleNamespace(min_cost=cost_at_zero, minimizers=MinimizerSet.point(0.0))
+        assert check_against_search(p, claim).startswith("min cost mismatch"), p
 
 
 def test_a_scan_that_gives_up_still_refutes_a_cost_it_undercuts(monkeypatch):
@@ -466,6 +469,29 @@ def test_an_open_plateau_agrees_with_an_interval_that_ends_in_the_tail():
     assert check_against_search(p, result) is None
     short = dataclasses.replace(result, minimizers=MinimizerSet("interval", (0.0, 5.0)))
     assert check_against_search(p, short).startswith("plateau mismatch")
+
+
+def test_an_interval_claimed_at_a_point_minimum_is_rejected():
+    result = economic_life(INSTANCE_C4_3)
+    interval = dataclasses.replace(result, minimizers=MinimizerSet.closed_interval(0.0, 5.0))
+    assert check_against_search(INSTANCE_C4_3, interval) == (
+        "closed form claims an interval of minimizers; search found none"
+    )
+
+
+def test_a_finite_plateau_agrees_with_an_interval_only_at_its_ends():
+    # The C5 optimum at 131.8 y is so flat that the grid ties its minimum
+    # over about 1.2 y, a plateau that ends short of the tail.  A claimed
+    # interval agrees where both its ends lie within a grid spacing of the
+    # plateau's.
+    p = AssetParams(3087.8032790488446, 3.5875904100739926, 427.9854844325287, 0.14518709410461267)
+    plateau = brute_force_minimize(p).plateau
+    assert plateau == pytest.approx((131.2569, 132.4700), abs=1e-4)
+    result = economic_life(p)
+    same = dataclasses.replace(result, minimizers=MinimizerSet.closed_interval(*plateau))
+    assert check_against_search(p, same) is None
+    longer = dataclasses.replace(result, minimizers=MinimizerSet.closed_interval(plateau[0], plateau[1] + 1.0))
+    assert check_against_search(p, longer).startswith("plateau mismatch")
 
 
 def test_the_grid_runs_from_zero_to_inf():
