@@ -25,11 +25,16 @@ case analysis.  Everything here is scalar ``math``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .lambert_w import _scaled_interior_age
+from .lambert_w import _scaled_interior_age, gap_ratio
 from .params import AssetParams
+
+# Below the least normal double gap_ratio(x) ~ x/2 has lost digits, while
+# gap(x)/x^2 is 1/2 to the last bit.
+_MIN_NORMAL = sys.float_info.min
 
 __all__ = [
     "CaseLabel",
@@ -136,28 +141,7 @@ def gap(tau: float) -> float:
     """
     if not tau >= 0.0:
         raise ValueError("gap is defined for tau >= 0")
-    return tau * _gap_ratio(tau)
-
-
-# Below this the direct form 1 + expm1(-x)/x loses ~eps/x of its value to
-# cancellation; the series is exact to a few ulp instead.
-_GAP_SERIES_CUTOFF = 1e-3
-
-
-def _gap_series(x: float) -> float:
-    """2 gap(x) / x^2 = 1 - x/3 + x^2/12 - x^3/60 + x^4/360 - ..., for x below the cutoff."""
-    return 1.0 + x * (-1.0 / 3.0 + x * (1.0 / 12.0 + x * (-1.0 / 60.0 + x / 360.0)))
-
-
-def _gap_ratio(x: float) -> float:
-    """gap(x) / x for x >= 0, in [0, 1].
-
-    Evaluated as a ratio rather than as gap(x) divided by x, so it neither
-    underflows where gap(x) ~ x^2/2 does nor rounds above 1 at large x.
-    """
-    if x < _GAP_SERIES_CUTOFF:
-        return 0.5 * x * _gap_series(x)
-    return 1.0 + math.expm1(-x) / x
+    return tau * gap_ratio(tau)
 
 
 def interior_minimum_age(params: AssetParams) -> float:
@@ -179,32 +163,26 @@ def slope_threshold(params: AssetParams) -> float:
     For maint_slope below the threshold, the cost keeps falling past the
     full-depreciation age and turns back up at the interior optimum; at or
     above it, the cost is increasing beyond the junction.  Equal to
-    depreciation_rate * interest_rate * x / gap(x) with x = rate * junction,
-    and never below depreciation_rate * interest_rate, also after rounding;
-    it tends to 2 b^2 / A as x tends to 0.
+    b r x / gap(x) = b r / gap_ratio(x), with b = depreciation_rate,
+    r = interest_rate and x = r * junction, and never below b r, also after
+    rounding; it tends to 2 b^2 / A as x tends to 0.
     """
     b = params.depreciation_rate
     r = params.interest_rate
     x = r * params.junction
-    if x < _GAP_SERIES_CUTOFF:
-        # b r / gap_ratio(x) = 2 b^2 / (A series(x)), formed without b r or r / x;
-        # sqrt(A) is normal, so b / sqrt(A) leaves the range only where the
-        # threshold does, unlike b / A at a subnormal A
+    if x < _MIN_NORMAL:
+        # 2 b^2 / A as 2 (b / sqrt(A))^2: sqrt(A) is normal, so b / sqrt(A)
+        # leaves the range only where the threshold does
         root = b / math.sqrt(params.acquisition_cost)
-        return 2.0 * root * root / _gap_series(x)
-    return b * (r / _gap_ratio(x))
-
-
-# Below this ratio q = b r / a, -log1p(-q) - q cancels to ~2 eps/q of its
-# value and, once q^2/2 underflows, rounds below zero; the series to q^10/10
-# is exact to a few ulp there.
-_LOG_SERIES_CUTOFF = 0.02
+        return 2.0 * root * root
+    # r / gap_ratio(x) ~ 2 / junction <= 2 / x stays finite for a normal x
+    return b * (r / gap_ratio(x))
 
 
 def acquisition_threshold(params: AssetParams) -> float:
     """Purchase price at which immediate replacement ties the interior optimum.
 
-    Equal to (a/r^2) (-log1p(-q) - q) with q = b r / a, which is positive.
+    Equal to (a/r^2) gap(u) = (a/r^2)(u - q) > 0, with q = b r / a and u = -log1p(-q).
     Defined only when maint_slope > depreciation_rate * interest_rate (below
     that the comparison never arises); diverges as the two approach.
     """
@@ -215,12 +193,9 @@ def acquisition_threshold(params: AssetParams) -> float:
         raise ValueError(
             "acquisition_threshold requires maint_slope > depreciation_rate * interest_rate"
         )
-    if q < _LOG_SERIES_CUTOFF:
-        # phi = (-log1p(-q) - q) / q^2 = 1/2 + q/3 + q^2/4 + ...
-        tail = 1.0 / 6.0 + q * (1.0 / 7.0 + q * (1.0 / 8.0 + q * (1.0 / 9.0 + q / 10.0)))
-        phi = 0.5 + q * (1.0 / 3.0 + q * (0.25 + q * (0.2 + q * tail)))
-    else:
-        phi = (-math.log1p(-q) - q) / (q * q)
+    # phi = gap(u) / q^2 = (u / q) gap_ratio(u) / q, with u = q where q is subnormal
+    u = -math.log1p(-q)
+    phi = (u / q) * (gap_ratio(u) / q) if q >= _MIN_NORMAL else 0.5
     # (a / r^2) q^2 = b^2 / a, formed without r^2 or b / r; a / b, unlike b / a
     # at a subnormal a, is finite and nonzero wherever the threshold is normal
     return b * phi / (a / b)

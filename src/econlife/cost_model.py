@@ -24,7 +24,7 @@ asymptote.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -211,18 +211,16 @@ def property_cost_derivative(params: AssetParams, t):
     r = params.interest_rate
 
     ages = arr.reshape(-1)
-    x = r * ages
-    c, p, m = _kernel(params, ages)
+    # q/r from the kernel at unit slope: a q/r keeps no digits of it at a subnormal a
+    c, p, w = _kernel(replace(params, maint_slope=1.0), ages)
     with np.errstate(invalid="ignore"):  # inf/inf at t = inf, zeroed below
-        dq = (ages - m / a) * p / ages  # (x - q)/(e^x - 1)
-    small = x < _SERIES_CUTOFF
-    dq[small] = 0.5 - x[small] * (1.0 / 6.0 - x[small] ** 2 / 180.0)
+        dq = p * (1.0 - w / ages)  # (x - q)/(e^x - 1)
     out = (a - params.depreciation_rate * r) * dq
     past = ages > params.junction  # where c = A/t
     c, p, t_past = c[past], p[past], ages[past]
     out[past] = a * dq[past] - c * p * (r + p / t_past)
     out *= math.expm1(r) / r
-    out[x > _HOLD] = 0.0
+    out[r * ages > _HOLD] = 0.0
     return _scalar_or_array(out.reshape(arr.shape), scalar)
 
 

@@ -51,6 +51,10 @@ def test_gap_values():
     assert gap(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
     values = [gap(tau) for tau in np.linspace(0.0, 50.0, 400).tolist()]
     assert all(b > a for a, b in zip(values, values[1:]))
+    # against 60 digits from 1e-150, where gap ~ tau^2/2 is still normal, to 1e3;
+    # tau - 1 + e^-tau itself cancels every digit as tau falls
+    for tau in (10.0 ** (k / 20) for k in range(-3000, 61)):
+        assert abs(Decimal(gap(tau)) / reference_gap(tau) - 1) <= Decimal("4e-15"), tau
     with pytest.raises(ValueError):
         gap(-0.1)
 
@@ -211,8 +215,8 @@ def test_both_thresholds_over_the_whole_domain():
             exact = a / (r * r) * reference_log_tail(q) if q < 1 else Decimal(0)
             if normal[0] <= exact <= normal[1]:
                 worst_tie = max(worst_tie, float(abs(Decimal(acquisition_threshold(p)) - exact) / exact))
-    assert worst_tie <= 1e-13
-    assert worst_slope <= 5e-13
+    assert worst_tie <= 1e-15
+    assert worst_slope <= 4e-15
 
 
 def test_thresholds_stay_finite_at_a_subnormal_price_or_slope():
@@ -426,7 +430,7 @@ def test_interior_age_gap_identity_at_every_cost_ratio():
         with localcontext(Context(prec=60)):
             error = float(abs(reference_gap(tau) - Decimal(c)) / Decimal(c))
         worst = max(worst, error)
-    assert worst <= 1e-12
+    assert worst <= 4e-15
 
 
 def test_interior_age_agrees_with_halley_in_w():

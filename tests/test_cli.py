@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -333,6 +334,34 @@ def test_fleet_row_with_overflowing_tie_threshold(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "fleet", "--input", str(path))
     assert code == 0
     assert out == FLEET_OUTPUT + "z,C4_3,4.75627839145e+173,4.75627839145e+173,,1.70199807043e+86,\n"
+
+
+# Rows of the benchmark's library inputs (l1735 and l3491 of seed 2, l1615 of
+# seed 3) whose printed age or cost once missed the correct rounding by one
+# digit, through the cancelling residual of gap(tau) = c.  References: 80-digit
+# Newton solve of gap(r t) = A r^2 / a, and min cost (e^r - 1) a t / r, which
+# the cash-flow definition matches.
+ROUNDING_ROWS = [
+    ("l1735,967.8036493883741,3410241.408023433,926124.9388626511,0.10052601928147871",
+     "0.02383358922413898150816116", "85503.98785725153175926696"),
+    ("l3491,8840.44098769626,4397327.068199762,111812871549688.98,0.2569602202319048",
+     "0.06358264173974996486087827", "318801.0256012464826201427"),
+    ("l1615,7983.564856657001,243959741.13481864,63659312901.92294,0.9801776019842461",
+     "0.008100814700365116157623980", "3356896.376645410106842783"),
+]
+
+
+def test_fleet_prints_correctly_rounded_interior_optima(tmp_path, capsys):
+    path = tmp_path / "fleet.csv"
+    path.write_text(FLEET_INPUT.splitlines()[0] + "\n" + "".join(f"{row}\n" for row, _, _ in ROUNDING_ROWS),
+                    encoding="utf-8")
+    code, out, _ = run_cli(capsys, "fleet", "--input", str(path))
+    assert code == 0
+    printed = list(csv.DictReader(io.StringIO(out)))
+    assert len(printed) == len(ROUNDING_ROWS)
+    for fields, (_, age, cost) in zip(printed, ROUNDING_ROWS):
+        age, cost = (format(Decimal(v), ".12g") for v in (age, cost))
+        assert (fields["econ_life_lo"], fields["econ_life_hi"], fields["min_annual_cost"]) == (age, age, cost)
 
 
 def test_fleet_verify_where_rate_squared_underflows(tmp_path, capsys):

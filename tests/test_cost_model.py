@@ -2,7 +2,7 @@ import math
 import re
 import sys
 import tracemalloc
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from conftest import (
     asset_params,
     draw_params,
     draw_wide_params,
+    reference_cost,
     reference_costs,
 )
 from econlife import (
@@ -179,6 +180,17 @@ def test_derivative_matches_finite_difference(t):
     delta = 1e-6
     fd = (property_cost(p, t + delta) - property_cost(p, t - delta)) / (2.0 * delta)
     assert property_cost_derivative(p, t) == pytest.approx(fd, rel=1e-5)
+
+
+@pytest.mark.parametrize("t", [0.5, 1e-3])
+def test_derivative_at_a_subnormal_maint_slope(t):
+    # a q/r keeps no digits of q/r at a = 5e-324, so q' must not be read back
+    # from it; the reference is a central difference of the decimal cost
+    p = AssetParams(1.0, 5e-324, 1.0, 0.1)
+    with localcontext(Context(prec=60)):
+        age, h = Decimal(t), Decimal(t) * Decimal("1e-15")
+        exact = (reference_cost(p, age + h) - reference_cost(p, age - h)) / (2 * h)
+    assert abs(Decimal(property_cost_derivative(p, t)) / exact - 1) <= Decimal("1e-14")
 
 
 def test_derivative_domain_errors():
