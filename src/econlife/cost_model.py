@@ -24,6 +24,7 @@ asymptote.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -98,8 +99,12 @@ def _kernel(params: AssetParams, ages):
     with np.errstate(invalid="ignore", over="ignore"):
         m /= p
         np.divide(x, p, out=p)
-        m /= r
-        m *= a
+        if r * sys.float_info.max < 1.0:  # q/r can overflow where a q/r does not
+            m *= a
+            m /= r
+        else:
+            m /= r
+            m *= a
         small = (x < _SERIES_CUTOFF).nonzero()[0]
         if small.size:  # most calls have no such point: skip the work on empty arrays
             s = x[small]

@@ -57,14 +57,11 @@ _SPLIT = 64
 _LINEAR_END = 10_000
 _LOG_RATIO = math.log1p(1.0 / _LINEAR_END)
 _LAST = _LINEAR_END + math.ceil(math.log(np.finfo(float).max / (_LINEAR_END * GRID_STEP)) / _LOG_RATIO)
-# Factors widening a scan cell's upper and lower cost bound for rounded pieces.
+# Factors widening the upper and lower cost bound of a scan cell or zoom
+# bracket for rounded pieces.
 _BOUND_SLACK = 1.0 + np.array([[64.0], [-64.0]]) * np.finfo(float).eps
 # Each zoom grid narrows a bracket 32-fold.
 _ZOOM_POINTS = 65
-# At most two genuine basins exist (the left boundary and the interior
-# optimum); extra candidates only ever arise from rounding jitter in flat
-# stretches, so a small fixed budget loses nothing.
-_MAX_BASINS = 16
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,8 @@ class MinimizationReport:
     every larger age.  Every reported point attains min_value to within the
     tie tolerance.  tail_start is the last age the scan evaluated short of
     inf: past it the scan bounds the cost as one cell and cannot tell its
-    ages apart.
+    ages apart.  refinements is the number of brackets zoomed: the candidate
+    basins whose bracket's lower cost bound reaches the tie threshold.
     """
 
     argmin_points: tuple[float, ...]
@@ -136,29 +134,39 @@ def integrate_discounted_maintenance(params: AssetParams, t: float, tol: float =
 def brute_force_minimize(params: AssetParams) -> MinimizationReport:
     """Locate all global minimizers of the ownership cost on [0, inf].
 
-    Scans the whole grid once, by branch and bound (``_scan``), refines all
-    candidate basins (grid local minima and age 0) together, by repeated
-    65-point zooms of their brackets until their values tie, and keeps the
-    basins whose refined values tie the best one within ``TIE_RTOL``.  Runs
+    Scans the whole grid once, by branch and bound (``_scan``).  Of the
+    candidate basins (grid local minima and age 0) it refines those whose
+    bracket's lower cost bound, from the scan's pieces, reaches the tie
+    threshold of the least grid value: together, by repeated 65-point zooms
+    of their brackets until their values tie.  It keeps the basins whose
+    refined values tie the best one within ``TIE_RTOL``, and reports the
+    number of brackets zoomed as ``refinements`` (0 where none can tie).  Runs
     of >= 3 grid points value-tied with the minimum are reported as a
     plateau: there the cost is flat at rounding level and no value comparison
     can single out a point.  A run that reaches the last grid point ends at
     inf.  Uses only value comparisons of the cost.  Raises ``ScanGaveUp``
     when the scan gives up.
     """
-    indices, values, h_min = _scan(params)
+    indices, values, h_min, d, i = _scan(params)
+    threshold = h_min + TIE_RTOL * abs(h_min)
     argmin_index = int(indices[np.argmin(values)])
-    runs = _tied_runs(indices, values <= h_min + TIE_RTOL * abs(h_min))
-    start, end = max(runs, key=lambda run: run[1] - run[0])
+    start, end = max(_tied_runs(indices, values <= threshold), key=lambda run: run[1] - run[0])
     # Age inf opens no bracket: its cost h(inf) is the grid's last value.
     basins = np.array(sorted((set(_basins(indices, values)) | {argmin_index}) - {_LAST}), dtype=np.int64)
+    below, above = np.maximum(basins - 1, 0), np.minimum(basins + 1, _LAST - 1)
+    # Zoom only the brackets [below, above] that can tie.  D at the first
+    # evaluated index from `above` on and I at the last one up to `below`
+    # bound their costs from below, as a scan cell's ends do, and the
+    # threshold is at least the final tie band.
+    pieces = d[np.searchsorted(indices, above)], i[np.searchsorted(indices, below, "right") - 1]
+    reach = _bounds(params, *pieces)[1] <= threshold
+    zoomed = int(reach.sum())
     # The ages of the brackets' ends, then of the plateau's ends, the argmin and tail_start.
-    marks = [start, end, argmin_index, indices[-2]]
-    ages = _ages(np.concatenate((np.maximum(basins - 1, 0), np.minimum(basins + 1, _LAST - 1), marks)))
-    lows, highs = ages[: basins.size], ages[basins.size : -4]
+    ages = _ages(np.concatenate((below[reach], above[reach], [start, end, argmin_index, indices[-2]])))
+    lows, highs = ages[:zoomed], ages[zoomed:-4]
     start_age, end_age, argmin_age, tail_start = ages[-4:].tolist()
     plateau = (start_age, end_age) if end - start + 1 >= PLATEAU_MIN_POINTS else None
-    locations, values = _zoom(params, lows, highs)
+    locations, values = _zoom(params, lows, highs) if zoomed else (lows, highs)
 
     best_value = min(float(values.min(initial=math.inf)), h_min)
     tie_band = best_value + TIE_RTOL * abs(best_value)
@@ -177,7 +185,7 @@ def brute_force_minimize(params: AssetParams) -> MinimizationReport:
         points, brackets = [argmin_age], [(argmin_age, argmin_age)]
     return MinimizationReport(
         argmin_points=tuple(points), brackets=tuple(brackets), plateau=plateau, min_value=best_value,
-        refinements=len(basins), tail_start=tail_start,
+        refinements=zoomed, tail_start=tail_start,
     )
 
 
@@ -217,19 +225,20 @@ def _scan(params):
     cost evaluation it fills in the other cells of at most ``_SPLIT``
     indices and splits the rest ``_SPLIT`` ways, until no cell is left to
     split.  Raises ``ScanGaveUp`` past ``GRID_BUDGET`` points.  Returns the
-    evaluated indices in increasing order, their costs and the least value.
+    evaluated indices in increasing order, their costs, the least value, and
+    the pieces D and I at those indices, from which ``brute_force_minimize``
+    bounds each candidate bracket: it zooms only those that can tie, and
+    counts them as refinements.
     """
     steps = np.arange(_SPLIT + 1)
     first = np.array([0, _LINEAR_END, _LINEAR_END + (_LAST - _LINEAR_END) // _SPLIT, _LAST])
     d, i, h = cost_pieces(params, _ages(first))
-    indices, values, h_min, evaluated = [first], [h], float(h.min()), first.size
+    indices, pieces, values, h_min, evaluated = [first], [(d, i)], [h], float(h.min()), first.size
     ends = np.array([first, d, i], dtype=float)
     cells = np.concatenate((ends[:, :-1], ends[::-1, 1:]))
-    r = params.interest_rate
     while True:
         threshold = h_min + TIE_RTOL * abs(h_min)
-        # cost_of_pieces of the bounds' pieces, in its operation order, then widened
-        bounds = (cells[1:3] + cells[3:5] + params.acquisition_cost * r) * (math.expm1(r) / r) * _BOUND_SLACK
+        bounds = _bounds(params, cells[1:3], cells[3:5])
         keep = bounds[1] <= threshold
         split = keep & (bounds[0] > threshold)
         parts = cells.compress(split, axis=1)
@@ -248,6 +257,7 @@ def _scan(params):
             raise ScanGaveUp(f"the scan needs more than {GRID_BUDGET} cost evaluations", h_min)
         d, i, h = cost_pieces(params, _ages(new))
         indices.append(new)
+        pieces.append((d, i))
         values.append(h)
         h_min = min(h_min, float(h.min(initial=math.inf)))
         edges[1:, :, 0], edges[1:, :, -1] = cut[1:3], cut[4:2:-1]
@@ -255,17 +265,26 @@ def _scan(params):
         edges[2, :, 1:-1] = i[inside.size :].reshape(-1, _SPLIT - 1)
         halves = np.concatenate((edges[:, :, :-1], edges[::-1, :, 1:])).reshape(6, -1)
         cells = np.concatenate((kept, halves), axis=1)
-    indices, values = np.concatenate(indices), np.concatenate(values)
+    indices, (d, i), values = np.concatenate(indices), np.concatenate(pieces, axis=1), np.concatenate(values)
     order = np.argsort(indices)
-    return indices[order].astype(np.int64), values[order], h_min
+    return indices[order].astype(np.int64), values[order], h_min, d[order], i[order]
+
+
+def _bounds(params, pieces, more):
+    """``cost_of_pieces`` of pieces + more in its operation order, widened up (row 0) and down (row 1).
+
+    ``_BOUND_SLACK`` covers the pieces' rounding, so the rows bound every
+    cost whose pieces sum to at most, and at least, pieces + more.
+    """
+    r = params.interest_rate
+    return (pieces + more + params.acquisition_cost * r) * (math.expm1(r) / r) * _BOUND_SLACK
 
 
 def _basins(indices, values):
-    """The ``_MAX_BASINS`` least strict local minima of evaluated neighbours, and age 0."""
+    """The strict local minima of evaluated neighbours, and age 0."""
     adjacent = np.diff(indices) == 1
     falls, rises = values[1:] < values[:-1], values[1:] > values[:-1]
     strict = (adjacent[:-1] & adjacent[1:] & falls[:-1] & rises[1:]).nonzero()[0] + 1
-    strict = strict[np.lexsort((indices[strict], values[strict]))[:_MAX_BASINS]]
     return indices[strict].tolist() + ([] if adjacent[0] and falls[0] else [0])
 
 

@@ -324,6 +324,21 @@ def test_costs_where_rate_times_age_underflows():
         assert slope == pytest.approx(5.0, rel=1e-15)
 
 
+def test_costs_stay_finite_at_a_subnormal_rate():
+    # At r = 1e-310, 1/r overflows.  At age inf, where q = 1, so does q/r,
+    # although the maintenance cost there, scale a/r with scale = 1 to the
+    # last bit, is about 1e10.  At the largest finite age q/r is below t/2;
+    # there x = 0.018, and the bound is that of the cash-flow test.
+    p = AssetParams(1.0, 1e-300, 1.0, 1e-310)
+    ages = [sys.float_info.max, math.inf]
+    g, f = reference_costs(p, ages[0])
+    limit = p.maint_slope / p.interest_rate
+    for fn, values in ((maintenance_cost, [f, limit]), (property_cost, [g + f, limit])):
+        expected = pytest.approx([float(v) for v in values], rel=1e-12)
+        assert fn(p, np.array(ages)).tolist() == expected
+        assert [fn(p, t) for t in ages] == expected
+
+
 @pytest.mark.parametrize(
     "ages, message",
     [

@@ -322,10 +322,12 @@ def test_scan_is_chunk_invariant(monkeypatch, params, tied_tail):
     reports = []
     for split in (2, 7, oracle._SPLIT):
         monkeypatch.setattr(oracle, "_SPLIT", split)
-        indices, scanned, least = oracle._scan(params)
+        indices, scanned, least, d, i = oracle._scan(params)
         assert least == h_min
         assert np.array_equal(indices, np.unique(indices))
         assert np.array_equal(scanned, values[np.minimum(indices, hold)])
+        pieces = cost_pieces(params, oracle._ages(indices))
+        assert d.tobytes() == pieces[0].tobytes() and i.tobytes() == pieces[1].tobytes()
         assert oracle._tied_runs(indices, scanned <= threshold) == whole_grid_runs
         reports.append(brute_force_minimize(params))
         assert (reports[-1].plateau is not None and reports[-1].plateau[1] == math.inf) == tied_tail
@@ -340,7 +342,8 @@ def test_scan_is_chunk_invariant(monkeypatch, params, tied_tail):
 def test_the_scan_finishes_on_a_budget_of_exactly_its_points(monkeypatch, params):
     # GRID_BUDGET bounds the points of all the scan's cost evaluations
     # together: a budget of exactly that many lets it finish, one fewer
-    # stops it before the evaluation that would pass the budget.
+    # stops it before the evaluation that would pass the budget.  The pieces
+    # it returns are those of ``cost_pieces`` at its indices, bit for bit.
     sizes = []
 
     def counting_pieces(p, ages):
@@ -348,12 +351,15 @@ def test_the_scan_finishes_on_a_budget_of_exactly_its_points(monkeypatch, params
         return cost_pieces(p, ages)
 
     monkeypatch.setattr(oracle, "cost_pieces", counting_pieces)
-    indices, values, least = oracle._scan(params)
+    scan = oracle._scan(params)
+    indices, values, least, d, i = scan
     calls = sizes.copy()
     assert len(calls) > 2 and sum(calls) == indices.size
+    pieces = cost_pieces(params, oracle._ages(indices))
+    assert d.tobytes() == pieces[0].tobytes() and i.tobytes() == pieces[1].tobytes()
     monkeypatch.setattr(oracle, "GRID_BUDGET", indices.size)
     again = oracle._scan(params)
-    assert np.array_equal(again[0], indices) and np.array_equal(again[1], values) and again[2] == least
+    assert again[2] == least and all(np.array_equal(a, b) for a, b in zip(again, scan))
     monkeypatch.setattr(oracle, "GRID_BUDGET", indices.size - 1)
     sizes.clear()
     with pytest.raises(oracle.ScanGaveUp):
@@ -374,6 +380,40 @@ def test_zoom_refines_each_bracket_as_if_it_were_alone():
     alone = [oracle._zoom(EXACT_TIE, lo[k : k + 1], hi[k : k + 1]) for k in range(lo.size)]
     assert together[0].tobytes() == np.concatenate([ages for ages, _ in alone]).tobytes()
     assert together[1].tobytes() == np.concatenate([values for _, values in alone]).tobytes()
+
+
+def test_the_zoom_skips_only_brackets_that_cannot_tie(monkeypatch):
+    # Of the candidate brackets (around each strict local minimum of the
+    # scan's values and its argmin, and from age 0) the search zooms only
+    # those whose lower cost bound reaches the tie threshold.  Each one it
+    # skips, zoomed alone, stays above the report's tie band, and
+    # refinements counts the brackets zoomed.
+    zoom, zoomed = oracle._zoom, []
+
+    def recording(params, lo, hi):
+        zoomed.extend(zip(lo.tolist(), hi.tolist()))
+        return zoom(params, lo, hi)
+
+    monkeypatch.setattr(oracle, "_zoom", recording)
+    rng = np.random.default_rng(20261019)
+    instances = [INSTANCE_C1, INSTANCE_C4_1, INSTANCE_C4_3, INSTANCE_C5, INSTANCE_FLAT, EXACT_TIE,
+                 CAPPED_TIED_TAIL, AssetParams(100.0, 1.6, 2.0, 0.8), AssetParams(1e6, 1.0, 1.0, 1.0)]
+    skipped = 0
+    for p in instances + [draw_params(rng) for _ in range(200)]:
+        zoomed.clear()
+        report = brute_force_minimize(p)
+        assert report.refinements == len(zoomed)
+        indices, values = oracle._scan(p)[:2]
+        basins = set(oracle._basins(indices, values)) | {int(indices[np.argmin(values)])}
+        candidates = np.array(sorted(basins - {oracle._LAST}))
+        lows = oracle._ages(np.maximum(candidates - 1, 0)).tolist()
+        highs = oracle._ages(np.minimum(candidates + 1, oracle._LAST - 1)).tolist()
+        assert set(zoomed) <= set(zip(lows, highs))
+        tie_band = report.min_value + oracle.TIE_RTOL * abs(report.min_value)
+        for lo, hi in set(zip(lows, highs)) - set(zoomed):
+            skipped += 1
+            assert zoom(p, np.array([lo]), np.array([hi]))[1][0] > tie_band, (p, lo, hi)
+    assert skipped > 100
 
 
 @pytest.mark.parametrize(
