@@ -25,16 +25,11 @@ case analysis.  Everything here is scalar ``math``.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .lambert_w import _scaled_interior_age, gap_ratio
+from .lambert_w import _GAP_SERIES_BELOW, _scaled_interior_age, gap_ratio, gap_series
 from .params import AssetParams
-
-# Below the least normal double gap_ratio(x) ~ x/2 has lost digits, while
-# gap(x)/x^2 is 1/2 to the last bit.
-_MIN_NORMAL = sys.float_info.min
 
 __all__ = [
     "CaseLabel",
@@ -170,12 +165,11 @@ def slope_threshold(params: AssetParams) -> float:
     b = params.depreciation_rate
     r = params.interest_rate
     x = r * params.junction
-    if x < _MIN_NORMAL:
-        # 2 b^2 / A as 2 (b / sqrt(A))^2: sqrt(A) is normal, so b / sqrt(A)
-        # leaves the range only where the threshold does
+    if x < _GAP_SERIES_BELOW:
+        # b r / (x gap_series(x)) = (b / sqrt(A))^2 / gap_series(x): sqrt(A) is
+        # normal, so b / sqrt(A) leaves the range only where the threshold does
         root = b / math.sqrt(params.acquisition_cost)
-        return 2.0 * root * root
-    # r / gap_ratio(x) ~ 2 / junction <= 2 / x stays finite for a normal x
+        return root * (root / gap_series(x))
     return b * (r / gap_ratio(x))
 
 
@@ -193,9 +187,15 @@ def acquisition_threshold(params: AssetParams) -> float:
         raise ValueError(
             "acquisition_threshold requires maint_slope > depreciation_rate * interest_rate"
         )
-    # phi = gap(u) / q^2 = (u / q) gap_ratio(u) / q, with u = q where q is subnormal
+    # phi = gap(u) / q^2 = (u / q) gap_ratio(u) / q.  With h = gap_series(u),
+    # q = u - u^2 h, so u / q = 1 / (1 - u h) needs no division by q
     u = -math.log1p(-q)
-    phi = (u / q) * (gap_ratio(u) / q) if q >= _MIN_NORMAL else 0.5
+    if u < _GAP_SERIES_BELOW:
+        h = gap_series(u)
+        d = 1.0 - u * h
+        phi = h / (d * d)
+    else:
+        phi = (u / q) * (gap_ratio(u) / q)
     # (a / r^2) q^2 = b^2 / a, formed without r^2 or b / r; a / b, unlike b / a
     # at a subnormal a, is finite and nonzero wherever the threshold is normal
     return b * phi / (a / b)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .lambert_w import _GAP_SERIES_BELOW, gap_series
 from .params import AssetParams
 
 __all__ = [
@@ -48,9 +49,6 @@ __all__ = [
 # so holding x leaves each cost exact at every larger age, inf included,
 # while e^x - 1 stays inside the double range.
 _HOLD = 700.0
-# Below this x the direct form q = (e^x - 1 - x)/(e^x - 1) loses ~eps/x of its
-# value to cancellation; the series is exact to a few ulp instead.
-_SERIES_CUTOFF = 1e-3
 
 
 @dataclass(frozen=True)
@@ -82,11 +80,12 @@ def _kernel(params: AssetParams, ages):
 
     With x = r t held at ``_HOLD`` and q = 1 - x/(e^x - 1), returns c, the
     mean yearly loss of resale value (b up to the junction, A/t past it);
-    p = 1 - q = x/(e^x - 1), in (0, 1]; and m = a (q/r).  Below
-    ``_SERIES_CUTOFF`` both p and m come from the series
-    q/x = 1/2 - x/12 + x^3/720, with m = t (a q/x), so x = 0 needs no special
-    case and m keeps its digits where r t underflows.  Each is a fresh array
-    that the caller may overwrite.
+    p = 1 - q = x/(e^x - 1), in (0, 1]; and m = a (q/r).  Below x = 0.1, where
+    q cancels, both come from h = gap(-x)/x^2 = ``gap_series(-x)``, whose
+    terms are all positive: e^x - 1 = x (1 + x h), so p = 1/(1 + x h) and
+    m = t (a (q/x)) with q/x = h p.  x = 0 needs no special case, and m keeps
+    its digits where r t underflows.  Each is a fresh array that the caller
+    may overwrite.
     """
     a = params.maint_slope
     r = params.interest_rate
@@ -105,12 +104,14 @@ def _kernel(params: AssetParams, ages):
         else:
             m /= r
             m *= a
-        small = (x < _SERIES_CUTOFF).nonzero()[0]
-        if small.size:  # most calls have no such point: skip the work on empty arrays
+        small = (x < _GAP_SERIES_BELOW).nonzero()[0]
+        if small.size:  # skip the work on empty arrays
             s = x[small]
-            ratio = 0.5 - s * (1.0 / 12.0 - s * s / 720.0)  # q/x
-            m[small] = ages[small] * (a * ratio)
-            p[small] = 1.0 - s * ratio
+            h = gap_series(-s)
+            ps = 1.0 / (1.0 + s * h)
+            h *= ps  # q/x
+            m[small] = ages[small] * (a * h)
+            p[small] = ps
     c = x  # x is spent
     c.fill(params.depreciation_rate)
     np.divide(params.acquisition_cost, ages, out=c, where=ages > params.junction)

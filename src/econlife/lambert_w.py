@@ -16,7 +16,10 @@ c = -1 - log(-z).
 gap(x) = x - 1 + e^(-x) is behind every regime quantity: the interior
 optimum solves gap(r t*) = c, the slope threshold is b r x / gap(x) with
 x = r * junction, and the acquisition threshold is (a/r^2) gap(-log1p(-b r/a)).
-Each reads ``gap_ratio`` = gap(x)/x, its one cancellation-free form.
+The cost model's q = 1 - x/(e^x - 1) is the same cancellation at -x, since
+e^x - 1 - x = gap(-x).  Below |x| = 0.1 all of them, the interior age, both
+thresholds and the cost kernel, read one series, ``gap_series`` = gap(x)/x^2;
+above it they read ``gap_ratio`` = gap(x)/x in its direct form.
 
 No external special-function library is used; the residual ``w e^w - z`` is
 driven to a few ulp, which the test suite checks directly.
@@ -26,7 +29,7 @@ import math
 
 from .errors import NumericError
 
-__all__ = ["BRANCH_POINT", "gap_ratio", "w0", "w0_series", "w0_inverse"]
+__all__ = ["BRANCH_POINT", "gap_ratio", "gap_series", "w0", "w0_series", "w0_inverse"]
 
 #: Left edge of the real domain, -1/e.  w0(BRANCH_POINT) = -1.
 BRANCH_POINT = -1.0 / math.e
@@ -126,11 +129,20 @@ def _initial_guess(z: float) -> float:
     return lz - llz + llz / lz
 
 
-# Below this x the series to x^9 is exact to an ulp: its first omitted term,
-# x^10/11!, is under 6e-17 of gap(x)/x ~ x/2.  Above it 1 + expm1(-x)/x loses
-# at most 2.5e-15 to cancellation.  A cutoff of 0.5 takes that to 5e-16 with
-# five more terms, at about 5% more latency in the library benchmark.
+# Below this |x| the series to x^8 is exact to an ulp on either sign: its
+# first omitted term, x^9/11!, is under 6e-17 of gap(x)/x^2 ~ 1/2.  Above it
+# 1 + expm1(-x)/x loses at most 2.5e-15; a cutoff of 0.5 takes that to 5e-16
+# with five more terms, at about 5% more latency in the library benchmark.
 _GAP_SERIES_BELOW = 0.1
+
+
+def gap_series(x):
+    """gap(x)/x^2 = sum_{k >= 0} (-x)^k / (k + 2)! = 1/2 - x/6 + x^2/24 - ..., for |x| < 0.1.
+
+    Plain + and *, so that x may be a float or a numpy array of them.
+    """
+    return 1 / 2 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x * (1 / 720 - x * (
+        1 / 5040 - x * (1 / 40320 - x * (1 / 362880 - x / 3628800)))))))
 
 
 def gap_ratio(x: float) -> float:
@@ -139,9 +151,8 @@ def gap_ratio(x: float) -> float:
     Free of the cancellation in gap(x) = x - 1 + e^(-x), it neither
     underflows where gap(x) ~ x^2/2 does nor rounds above 1 at large x.
     """
-    if x < _GAP_SERIES_BELOW:  # sum_{k >= 2} (-1)^k x^(k-1) / k! = x/2 - x^2/6 + x^3/24 - ...
-        return x * (1 / 2 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x * (
-            1 / 720 - x * (1 / 5040 - x * (1 / 40320 - x * (1 / 362880 - x / 3628800))))))))
+    if x < _GAP_SERIES_BELOW:
+        return x * gap_series(x)
     return 1.0 + math.expm1(-x) / x
 
 

@@ -31,7 +31,7 @@ from econlife import (
     slope_threshold,
     w0,
 )
-from econlife.lambert_w import _scaled_interior_age
+from econlife.lambert_w import _scaled_interior_age, gap_series
 
 
 def bisect_gap_level(level: float, tol: float = 1e-13) -> float:
@@ -191,18 +191,35 @@ def test_acquisition_threshold_where_intermediates_leave_the_normal_range(params
     assert acquisition_threshold(params) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
 
+# The edges of the thresholds' series, where both thresholds are normal
+# doubles: u = -log1p(-q) just below 0.1 and at it, q subnormal and q = 0;
+# then r * junction subnormal, the least normal double, and either side of 0.1.
+SERIES_EDGES = [
+    AssetParams(1.0, 1.0, 0.09516258196404041, 1.0),
+    AssetParams(1.0, 1.0, 0.09516258196404043, 1.0),
+    AssetParams(1.0, 1e10, 1.0, 1e-300),
+    AssetParams(1.0, 1e20, 1.0, 1e-310),
+    AssetParams(1e-300, 2.0, 1.0, 1e-20),
+    AssetParams(sys.float_info.min, 2.0, 1.0, 1.0),
+    AssetParams(math.nextafter(0.1, 0.0), 2.0, 1.0, 1.0),
+    AssetParams(0.1, 2.0, 1.0, 1.0),
+]
+
+
 def test_both_thresholds_over_the_whole_domain():
     # A, a and b log-uniform over +-300 decades, rate over [1e-300, 1]:
     # wherever a threshold is a normal double, it matches a 60-digit
     # reference, also where b r, r * junction, r^2 or b / r leave the double
     # range.  The slope threshold never rounds below b r.
     rng = np.random.default_rng(7)
-    normal = Decimal(sys.float_info.min), Decimal(sys.float_info.max)
-    worst_tie = worst_slope = 0.0
+    rows = list(SERIES_EDGES)
     for _ in range(1500):
         A, a, b = (10.0 ** rng.uniform(-300.0, 300.0, 3)).tolist()
-        r = float(10.0 ** rng.uniform(-300.0, 0.0))
-        p = AssetParams(A, a, b, r)
+        rows.append(AssetParams(A, a, b, float(10.0 ** rng.uniform(-300.0, 0.0))))
+    normal = Decimal(sys.float_info.min), Decimal(sys.float_info.max)
+    worst_tie = worst_slope = 0.0
+    for p in rows:
+        A, a, b, r = p.acquisition_cost, p.maint_slope, p.depreciation_rate, p.interest_rate
         slope = slope_threshold(p)
         assert slope >= b * r, p
         with localcontext(Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN)):
@@ -417,6 +434,21 @@ def reference_gap(tau: float | Decimal) -> Decimal:
             total += term
             if abs(term) <= abs(total) * Decimal("1e-45"):
                 return total
+
+
+def test_gap_series_matches_60_digits_on_both_sides_of_zero():
+    # The one series behind the interior age, both thresholds (x >= 0) and
+    # the cost kernel (x <= 0): arrays and floats give the same bits.
+    edge = math.nextafter(0.1, 0.0)
+    tiny = np.geomspace(5e-324, 1e-3, 400)
+    xs = np.concatenate([np.linspace(-edge, edge, 2001), tiny, -tiny, [0.0, edge, -edge]])
+    values = gap_series(xs)
+    assert np.array_equal(values, [gap_series(x) for x in xs.tolist()])
+    assert gap_series(0.0) == 0.5
+    with localcontext(Context(prec=60)):
+        for x, h in zip(xs.tolist(), values.tolist()):
+            exact = reference_gap(x) / Decimal(x) ** 2 if x else Decimal("0.5")
+            assert abs(Decimal(h) / exact - 1) <= Decimal("2e-16"), x
 
 
 def test_interior_age_gap_identity_at_every_cost_ratio():

@@ -280,9 +280,9 @@ def test_costs_match_the_cash_flow_definition(params):
     cap = 700.0 / r
     ages = np.concatenate(
         [
-            [0.0, -0.0, 5e-324, 1e-300, 1e-3 / r, np.nextafter(1e-3 / r, 0.0)],
+            [0.0, -0.0, 5e-324, 1e-300, 0.1 / r, np.nextafter(0.1 / r, 0.0)],
             np.geomspace(1e-300, cap, 3001),
-            np.linspace(0.0, 2e-3 / r, 501),  # across the series cutoff
+            np.linspace(0.0, 0.2 / r, 501),  # across the series cutoff
             [np.nextafter(j, 0.0), j, np.nextafter(j, np.inf)],
             np.linspace(0.5 * j, 1.5 * j, 501),
             [cap, np.nextafter(cap, 0.0)],
@@ -298,9 +298,9 @@ def test_costs_match_the_cash_flow_definition(params):
     for fn, values in exact.items():
         out = fn(params, ages)
         assert out.shape == ages.shape
-        # A value below the normal range holds fewer than 12 digits; there the
-        # bound is absolute, at the least normal double.
-        bound = [Decimal("1e-12") * v + Decimal(sys.float_info.min) for v in values]
+        # A few ulp; a value below the normal range holds fewer digits, and
+        # there the bound is absolute, at the least normal double.
+        bound = [Decimal("4e-15") * v + Decimal(sys.float_info.min) for v in values]
         bad = [(t, h, v) for t, h, v, e in zip(ages.tolist(), out.tolist(), values, bound)
                if not abs(Decimal(h) - v) <= e]
         assert not bad, (fn.__name__, bad[:3])
@@ -334,7 +334,7 @@ def test_costs_stay_finite_at_a_subnormal_rate():
     g, f = reference_costs(p, ages[0])
     limit = p.maint_slope / p.interest_rate
     for fn, values in ((maintenance_cost, [f, limit]), (property_cost, [g + f, limit])):
-        expected = pytest.approx([float(v) for v in values], rel=1e-12)
+        expected = pytest.approx([float(v) for v in values], rel=4e-15)
         assert fn(p, np.array(ages)).tolist() == expected
         assert [fn(p, t) for t in ages] == expected
 
@@ -375,13 +375,20 @@ def test_cost_pieces_bound_the_cost_on_every_cell(rng, draw):
     # D never rises with age and I never falls, so on a cell [u, v] the cost
     # of D(v) and I(u) bounds the cost from below and that of D(u) and I(v)
     # from above, up to rounding: the search drops and ties cells by these.
+    # Tight cells leave the pieces' rounding little room: they sit where the
+    # cost's terms cancel, in the series region and either side of its
+    # cutoff x = 0.1.
     slack = 1.0 + 64.0 * np.finfo(float).eps
     for _ in range(300):
         p = draw(rng)
         r = p.interest_rate
         spread = 10.0 ** rng.uniform(-12.0, math.log10(0.6), 2)
-        for centre in (p.junction, 5e-4 / r, 2e3 / r, 10.0 ** rng.uniform(-3.0, 3.0) / r):
-            # across the junction, below x = 1e-3, past x = 700, anywhere
+        # across the junction, in the series region, past x = 700, anywhere
+        centres = (p.junction, 5e-4 / r, 2e3 / r, 10.0 ** rng.uniform(-3.0, 3.0) / r)
+        cells = [(centre, spread) for centre in centres]
+        for x in (1.1e-3, 2e-3, 5e-3, 0.05, 0.099, 0.101):
+            cells.append((x / r, 10.0 ** rng.uniform(-14.0, -9.0, 2)))
+        for centre, spread in cells:
             u, v = centre * (1.0 - spread[0]), centre * (1.0 + spread[1])
             d, i, h_ends = cost_pieces(p, np.array([u, v]))
             lower = float(cost_of_pieces(p, d[1], i[0]))
