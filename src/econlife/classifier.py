@@ -84,16 +84,27 @@ class MinimizerSet:
 
     _KINDS = ("single_point", "two_points", "interval")
 
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"kind must be one of {self._KINDS}")
-        if any(not (math.isfinite(v) and v >= 0.0) for v in self.values):
-            raise ValueError("minimizers must be finite and >= 0")
-        if self.kind == "single_point":
-            if len(self.values) != 1:
+    def __init__(self, kind: str, values: tuple[float, ...]):
+        # Written out rather than generated, for the reason EconomicLifeResult
+        # gives; the messages are worked out only once a check has failed
+        if not (
+            (kind == "single_point" and len(values) == 1 and 0.0 <= values[0] < math.inf)
+            or (
+                (kind == "two_points" or kind == "interval")
+                and len(values) == 2
+                and 0.0 <= values[0] < values[1] < math.inf
+            )
+        ):
+            if kind not in self._KINDS:
+                raise ValueError(f"kind must be one of {self._KINDS}")
+            if not all(0.0 <= v < math.inf for v in values):
+                raise ValueError("minimizers must be finite and >= 0")
+            if kind == "single_point":
                 raise ValueError("single_point carries exactly one value")
-        elif len(self.values) != 2 or not self.values[0] < self.values[1]:
-            raise ValueError(f"{self.kind} carries two strictly ordered values")
+            raise ValueError(f"{kind} carries two strictly ordered values")
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["values"] = values
 
     @classmethod
     def point(cls, t: float) -> "MinimizerSet":
@@ -126,6 +137,32 @@ class EconomicLifeResult:
     cost_ratio: float
     slope_threshold: float
     acquisition_threshold: float | None
+
+    def __init__(
+        self,
+        case: CaseLabel,
+        minimizers: MinimizerSet,
+        min_cost: float,
+        interior_minimum_age: float | None,
+        cost_ratio: float,
+        slope_threshold: float,
+        acquisition_threshold: float | None,
+    ):
+        # The generated frozen __init__ makes one object.__setattr__ call per
+        # field; storing into the instance dict takes about a third of the time.
+        # (dict.update would copy a combined table: 128 more bytes per result.)
+        fields = self.__dict__
+        fields["case"] = case
+        fields["minimizers"] = minimizers
+        fields["min_cost"] = min_cost
+        fields["interior_minimum_age"] = interior_minimum_age
+        fields["cost_ratio"] = cost_ratio
+        fields["slope_threshold"] = slope_threshold
+        fields["acquisition_threshold"] = acquisition_threshold
+
+
+# Replacement at age 0, the minimizer set of both C1 and C4_1
+_AT_ZERO = MinimizerSet.point(0.0)
 
 
 def gap(tau: float) -> float:
@@ -241,9 +278,12 @@ def economic_life(params: AssetParams) -> EconomicLifeResult:
         # a >= slope_threshold >= speed: the cost rises beyond the junction.
         # C3 would need a < speed here and cannot occur.
         if flat:
-            case, minimizers = CaseLabel.C2, MinimizerSet.closed_interval(0.0, params.junction)
+            junction = params.junction
+            if junction == math.inf:
+                raise ValueError(f"junction A/b = {A!r}/{b!r} overflows the float range")
+            case, minimizers = CaseLabel.C2, MinimizerSet.closed_interval(0.0, junction)
         else:
-            case, minimizers = CaseLabel.C1, MinimizerSet.point(0.0)
+            case, minimizers = CaseLabel.C1, _AT_ZERO
         min_cost = cost_at_zero
     elif interior_age == math.inf and (flat or a < speed or A <= A_threshold):
         # C5, C4_2 or C4_3: the interior optimum is a minimizer
@@ -255,18 +295,10 @@ def economic_life(params: AssetParams) -> EconomicLifeResult:
         case, minimizers = CaseLabel.C4_2, MinimizerSet.pair(0.0, interior_age)
         min_cost = cost_at_zero
     elif A > A_threshold:
-        case, minimizers = CaseLabel.C4_1, MinimizerSet.point(0.0)
+        case, minimizers = CaseLabel.C4_1, _AT_ZERO
         min_cost = cost_at_zero
     else:
         case, minimizers = CaseLabel.C4_3, MinimizerSet.point(interior_age)
         min_cost = scale * a * interior_age
 
-    return EconomicLifeResult(
-        case=case,
-        minimizers=minimizers,
-        min_cost=min_cost,
-        interior_minimum_age=interior_age,
-        cost_ratio=c,
-        slope_threshold=a_threshold,
-        acquisition_threshold=A_threshold,
-    )
+    return EconomicLifeResult(case, minimizers, min_cost, interior_age, c, a_threshold, A_threshold)

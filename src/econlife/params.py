@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 __all__ = ["AssetParams"]
 
+_set = object.__setattr__
+
 
 @dataclass(frozen=True)
 class AssetParams:
@@ -27,19 +29,27 @@ class AssetParams:
     depreciation_rate: float
     interest_rate: float
 
-    def __post_init__(self):
-        if not (type(self.acquisition_cost) is type(self.maint_slope) is type(self.depreciation_rate)
-                is type(self.interest_rate) is float):
-            # Plain floats: numpy scalars would warn where a quotient overflows and
-            # print as np.float64(...).  Tested first, since fleet builds one per row.
-            for name in ("acquisition_cost", "maint_slope", "depreciation_rate", "interest_rate"):
-                object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("acquisition_cost", "maint_slope", "depreciation_rate"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be > 0")
-        if not (math.isfinite(self.interest_rate) and 0.0 < self.interest_rate <= 1.0):
+    def __init__(
+        self, acquisition_cost: float, maint_slope: float, depreciation_rate: float, interest_rate: float
+    ):
+        # Written out rather than generated, since fleet builds one per row: the
+        # generated frozen __init__ looks object.__setattr__ up again for every field
+        A, a, b, r = acquisition_cost, maint_slope, depreciation_rate, interest_rate
+        if not (type(A) is type(a) is type(b) is type(r) is float):
+            # Plain floats: numpy scalars would warn where a quotient overflows
+            # and print as np.float64(...)
+            A, a, b, r = float(A), float(a), float(b), float(r)
+        if not (0.0 < A < math.inf and 0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 < r <= 1.0):
+            for name, value in zip(("acquisition_cost", "maint_slope", "depreciation_rate"), (A, a, b)):
+                if not 0.0 < value < math.inf:
+                    raise ValueError(f"{name} must be > 0")
             raise ValueError("interest_rate must be in (0, 1]")
+        # Set field by field, which keeps the values inline in the instance;
+        # writing to its __dict__ would add 64 bytes or more per asset
+        _set(self, "acquisition_cost", A)
+        _set(self, "maint_slope", a)
+        _set(self, "depreciation_rate", b)
+        _set(self, "interest_rate", r)
 
     @property
     def junction(self) -> float:

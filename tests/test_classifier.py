@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
@@ -302,6 +304,14 @@ def test_economic_life_names_an_overflowing_interior_optimum():
         economic_life(p)
 
 
+def test_economic_life_names_an_overflowing_junction():
+    # a == b r exactly: a C2 asset, whose minimizers run up to A/b = 1.1e312 y
+    p = AssetParams(1e300, 2.0**-41, 2.0**-40, 0.5)
+    message = r"^junction A/b = 1e\+300/9\.094947017729282e-13 overflows the float range$"
+    with pytest.raises(ValueError, match=message):
+        economic_life(p)
+
+
 @pytest.mark.parametrize(
     "params",
     [
@@ -409,15 +419,84 @@ def test_min_cost_is_global_on_dense_grid(params):
 
 
 def test_minimizer_set_validation():
-    with pytest.raises(ValueError):
-        MinimizerSet("interval", (3.0, 1.0))
-    with pytest.raises(ValueError):
-        MinimizerSet("two_points", (2.0,))
-    with pytest.raises(ValueError):
-        MinimizerSet("nonsense", (1.0,))
-    with pytest.raises(ValueError):
+    nonfinite_or_negative = [
+        (kind, values)
+        for bad in (math.nan, math.inf, -math.inf, -1.0)
+        for kind, values in (
+            ("single_point", (bad,)),
+            ("two_points", (0.0, bad)),
+            ("interval", (bad, 5.0)),
+            ("two_points", (bad,)),  # checked before the count
+        )
+    ]
+    errors = [
+        ("interval", (3.0, 1.0), "interval carries two strictly ordered values"),
+        ("interval", (1.0, 1.0), "interval carries two strictly ordered values"),
+        ("two_points", (2.0,), "two_points carries two strictly ordered values"),
+        ("single_point", (1.0, 2.0), "single_point carries exactly one value"),
+        ("single_point", (), "single_point carries exactly one value"),
+        ("nonsense", (1.0,), "kind must be one of ('single_point', 'two_points', 'interval')"),
+        ("nonsense", (math.nan,), "kind must be one of ('single_point', 'two_points', 'interval')"),
+        *((kind, values, "minimizers must be finite and >= 0") for kind, values in nonfinite_or_negative),
+    ]
+    for kind, values, message in errors:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MinimizerSet(kind, values)
+    with pytest.raises(ValueError, match="^minimizers must be finite and >= 0$"):
         MinimizerSet.point(-1.0)
     assert MinimizerSet.closed_interval(0.0, 5.0).values == (0.0, 5.0)
+    # the constructors store plain floats
+    assert MinimizerSet.closed_interval(0, 5.0) == MinimizerSet("interval", (0.0, 5.0))
+    assert type(MinimizerSet.pair(0.0, np.float64(2.0)).values[1]) is float
+
+
+RESULT_FIELDS = [
+    "case",
+    "minimizers",
+    "min_cost",
+    "interior_minimum_age",
+    "cost_ratio",
+    "slope_threshold",
+    "acquisition_threshold",
+]
+
+
+@pytest.mark.parametrize(
+    "value, names, change",
+    [
+        (
+            INSTANCE_C1,
+            ["acquisition_cost", "maint_slope", "depreciation_rate", "interest_rate"],
+            dict(interest_rate=0.2),
+        ),
+        (MinimizerSet.pair(0.0, 5.0), ["kind", "values"], dict(values=(1.0, 2.0))),
+        (economic_life(INSTANCE_C4_1), RESULT_FIELDS, dict(min_cost=1.0, interior_minimum_age=None)),
+    ],
+)
+def test_value_objects_are_frozen_dataclasses(value, names, change):
+    cls = type(value)
+    assert [f.name for f in dataclasses.fields(cls)] == names
+    assert vars(value) == {name: getattr(value, name) for name in names}
+    same = dataclasses.replace(value)
+    assert same == value and hash(same) == hash(value) and same is not value
+    changed = dataclasses.replace(value, **change)
+    assert changed != value and {n: getattr(changed, n) for n in change} == change
+    assert dataclasses.replace(changed, **{n: getattr(value, n) for n in change}) == value
+    assert repr(value) == f"{cls.__name__}(" + ", ".join(f"{n}={getattr(value, n)!r}" for n in names) + ")"
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+
+
+def test_economic_life_repr():
+    assert repr(economic_life(INSTANCE_C4_1)) == (
+        "EconomicLifeResult(case=<CaseLabel.C4_1: 'C4_1'>, "
+        "minimizers=MinimizerSet(kind='single_point', values=(0.0,)), min_cost=31.55127542269429, "
+        "interior_minimum_age=7.067605762248466, cost_ratio=0.2, slope_threshold=9.38696899744638, "
+        "acquisition_threshold=55.41281188299534)"
+    )
 
 
 def reference_gap(tau: float | Decimal) -> Decimal:

@@ -32,6 +32,9 @@ from econlife import (
 from econlife.cost_model import cost_of_pieces, cost_pieces
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -42,13 +45,34 @@ from econlife.cost_model import cost_of_pieces, cost_pieces
         (dict(interest_rate=0.0), "interest_rate"),
         (dict(interest_rate=1.5), "interest_rate"),
         (dict(interest_rate=float("nan")), "interest_rate"),
+        *(
+            (dict([(name, value)]), f"{name} must be > 0")
+            for name in ("acquisition_cost", "maint_slope", "depreciation_rate")
+            for value in (-0.0, -3.0, INF, -INF, NAN)
+        ),
+        (dict(interest_rate=INF), "interest_rate must be in (0, 1]"),
+        (dict(interest_rate=-0.1), "interest_rate must be in (0, 1]"),
+        # several bad fields: the first in field order is named
+        (dict(acquisition_cost=NAN, maint_slope=-1.0, interest_rate=2.0), "acquisition_cost must be > 0"),
+        (dict(maint_slope=INF, depreciation_rate=0.0), "maint_slope must be > 0"),
+        (dict(depreciation_rate=-INF, interest_rate=NAN), "depreciation_rate must be > 0"),
     ],
 )
 def test_params_validation(kwargs, message):
     fields = dict(acquisition_cost=100.0, maint_slope=5.0, depreciation_rate=20.0, interest_rate=0.1)
     fields.update(kwargs)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         AssetParams(**fields)
+
+
+def test_params_are_plain_floats():
+    # numpy scalars would warn where a quotient overflows and print as np.float64(...)
+    p = AssetParams(np.float64(100.0), 5, np.float32(20.0), np.float64(0.1))
+    assert [type(v) for v in vars(p).values()] == [float] * 4
+    assert p == AssetParams(100.0, 5.0, 20.0, 0.1)
+    assert repr(p) == (
+        "AssetParams(acquisition_cost=100.0, maint_slope=5.0, depreciation_rate=20.0, interest_rate=0.1)"
+    )
 
 
 def test_junction_age():

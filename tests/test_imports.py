@@ -27,6 +27,24 @@ def test_scalar_path_imports_no_numpy():
     assert done.returncode == 0, done.stderr or "numpy was imported"
 
 
+def test_fleet_without_verify_imports_no_numpy(tmp_path):
+    # only --verify needs the oracle; fleet's start-up time and memory count on it
+    source, output = tmp_path / "fleet.csv", tmp_path / "out.csv"
+    source.write_text(
+        "id,acquisition_cost,maint_slope,depreciation_rate,interest_rate\n"
+        "a,100,5,20,0.1\nb,40,5,20,0.1\nc,100,1,20,0.1\nbad,100,5,0,0.1\n",
+        encoding="utf-8",
+    )
+    code = (
+        "import sys; from econlife.cli import main; "
+        f"code = main(['fleet', '--input', {str(source)!r}, '--output', {str(output)!r}]); "
+        "sys.exit(code or 'numpy' in sys.modules)"
+    )
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr or "numpy was imported"
+    assert output.read_text(encoding="utf-8").count("\n") == 5
+
+
 def test_public_names_resolve():
     for name in econlife.__all__:
         assert getattr(econlife, name) is not None, name
