@@ -86,7 +86,10 @@ class MinimizerSet:
 
     def __init__(self, kind: str, values: tuple[float, ...]):
         # Written out rather than generated, for the reason EconomicLifeResult
-        # gives; the messages are worked out only once a check has failed
+        # gives; the messages are worked out only once a check has failed.
+        # A tuple keeps the set hashable; the classmethods already pass one.
+        if type(values) is not tuple:
+            values = tuple(values)
         if not (
             (kind == "single_point" and len(values) == 1 and 0.0 <= values[0] < math.inf)
             or (

@@ -137,11 +137,12 @@ def _params_from_args(args) -> AssetParams:
 def _serialized_minimizers(result) -> tuple[str, str, str]:
     """(econ_life_lo, econ_life_hi, secondary_minimizer) as formatted text."""
     m = result.minimizers
+    lo = _num(m.values[0])
     if m.kind == "interval":
-        return _num(m.values[0]), _num(m.values[1]), ""
+        return lo, _num(m.values[1]), ""
     if m.kind == "two_points":
-        return _num(m.values[0]), _num(m.values[0]), _num(m.values[1])
-    return _num(m.values[0]), _num(m.values[0]), ""
+        return lo, lo, _num(m.values[1])
+    return lo, lo, ""
 
 
 def _write(fmt: str, fields: dict[str, str], text: str, indent: int | None = None) -> None:

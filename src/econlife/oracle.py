@@ -45,9 +45,17 @@ PLATEAU_MIN_POINTS = 3
 GRID_BUDGET = 1 << 18
 #: The grid step of ``brute_force_minimize`` up to 10 years, in years.
 GRID_STEP = 1e-3
+
+
+def _read_only(array):
+    """``array``, made read-only: every search shares the module's constant arrays."""
+    array.setflags(write=False)
+    return array
+
+
 # Quadrature panels: 20-node Gauss-Legendre, their count doubled at most
 # _MAX_DOUBLINGS times.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_GL_NODES, _GL_WEIGHTS = map(_read_only, np.polynomial.legendre.leggauss(20))
 _MAX_DOUBLINGS = 8
 # A scan cell wider than this many indices is split this many ways.
 _SPLIT = 64
@@ -59,7 +67,7 @@ _LOG_RATIO = math.log1p(1.0 / _LINEAR_END)
 _LAST = _LINEAR_END + math.ceil(math.log(np.finfo(float).max / (_LINEAR_END * GRID_STEP)) / _LOG_RATIO)
 # Factors widening the upper and lower cost bound of a scan cell or zoom
 # bracket for rounded pieces.
-_BOUND_SLACK = 1.0 + np.array([[64.0], [-64.0]]) * np.finfo(float).eps
+_BOUND_SLACK = _read_only(1.0 + np.array([[64.0], [-64.0]]) * np.finfo(float).eps)
 # Each zoom grid narrows a bracket 32-fold.
 _ZOOM_POINTS = 65
 
@@ -207,6 +215,23 @@ def _spacing(age: float) -> float:
     return max(GRID_STEP, age / _LINEAR_END)
 
 
+def _first_level():
+    """The grid indices of the scan's first cost evaluation, and their ages.
+
+    The finite first cells [0, 10 y] and [10 y, 6.3e5 y] (a ``_SPLIT``-th of
+    the geometric indices), each split ``_SPLIT`` ways as ``_scan`` splits a
+    wide cell, then index ``_LAST`` (age inf).  Increasing, none repeated.
+    """
+    anchors = np.array([0, _LINEAR_END, _LINEAR_END + (_LAST - _LINEAR_END) // _SPLIT])
+    lo, hi = anchors[:-1, None], anchors[1:, None]
+    cuts = lo + (hi - lo) * np.arange(_SPLIT + 1) // _SPLIT
+    indices = np.concatenate((cuts[:, :-1], [[anchors[-1], _LAST]]), axis=None)
+    return indices, _ages(indices)
+
+
+_FIRST_INDICES, _FIRST_AGES = map(_read_only, _first_level())
+
+
 def _scan(params):
     """The grid points that can tie the cost's minimum, by branch and bound.
 
@@ -217,24 +242,26 @@ def _scan(params):
     cells are the columns of one float array with rows lo, D(lo), I(lo),
     I(hi), D(hi), hi (indices lie below 2^53, so floats hold them exactly):
     rows 1:3 plus rows 3:5 are the pieces of the upper and lower bounds.
-    The first cells end at 10 y, at a 64th of the geometric indices
-    (6.3e5 y) and at inf: a first split of [10 y, inf) would spend 63 of
-    its points past 6e5 y and cost most rows one more level.  Each level
-    drops the cells whose lower bound lies above the tie threshold of the
-    least value so far and keeps those whose upper bound does not; in one
-    cost evaluation it fills in the other cells of at most ``_SPLIT``
-    indices and splits the rest ``_SPLIT`` ways, until no cell is left to
-    split.  Raises ``ScanGaveUp`` past ``GRID_BUDGET`` points.  Returns the
-    evaluated indices in increasing order, their costs, the least value, and
-    the pieces D and I at those indices, from which ``brute_force_minimize``
-    bounds each candidate bracket: it zooms only those that can tie, and
-    counts them as refinements.
+    The first evaluation covers ``_first_level``: the finite cells
+    [0, 10 y] and [10 y, 6.3e5 y], already split ``_SPLIT`` ways because
+    nearly every row splits both, and the tail cell [6.3e5 y, inf] whole, to
+    be judged like any other: a first split of [10 y, inf) would spend 63
+    of its points past 6e5 y.  Each level drops the cells whose lower bound
+    lies above the tie threshold of the least value so far and keeps those
+    whose upper bound does not; in one cost evaluation it fills in the
+    other cells of at most ``_SPLIT`` indices and splits the rest ``_SPLIT``
+    ways, until no cell is left to split.  Raises ``ScanGaveUp`` past
+    ``GRID_BUDGET`` points, the first evaluation's included.  Returns the
+    evaluated indices in increasing order, their costs, the least value,
+    and the pieces D and I at those indices, from which
+    ``brute_force_minimize`` bounds each candidate bracket: it zooms only
+    those that can tie, and counts them as refinements.
     """
     steps = np.arange(_SPLIT + 1)
-    first = np.array([0, _LINEAR_END, _LINEAR_END + (_LAST - _LINEAR_END) // _SPLIT, _LAST])
-    d, i, h = cost_pieces(params, _ages(first))
-    indices, pieces, values, h_min, evaluated = [first], [(d, i)], [h], float(h.min()), first.size
-    ends = np.array([first, d, i], dtype=float)
+    d, i, h = cost_pieces(params, _FIRST_AGES)
+    indices, pieces, values = [_FIRST_INDICES], [(d, i)], [h]
+    h_min, evaluated = float(h.min()), _FIRST_INDICES.size
+    ends = np.array([_FIRST_INDICES, d, i], dtype=float)
     cells = np.concatenate((ends[:, :-1], ends[::-1, 1:]))
     while True:
         threshold = h_min + TIE_RTOL * abs(h_min)

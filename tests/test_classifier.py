@@ -450,6 +450,17 @@ def test_minimizer_set_validation():
     assert type(MinimizerSet.pair(0.0, np.float64(2.0)).values[1]) is float
 
 
+def test_a_minimizer_set_given_a_list_stores_a_tuple():
+    # values is stored as a tuple, so the set and any result carrying it
+    # stay hashable and print as the classmethods' sets do.
+    given = MinimizerSet("interval", [0.0, 1.0])
+    assert type(given.values) is tuple and given == MinimizerSet.closed_interval(0.0, 1.0)
+    assert hash(given) == hash(MinimizerSet.closed_interval(0.0, 1.0))
+    assert repr(given) == "MinimizerSet(kind='interval', values=(0.0, 1.0))"
+    result = dataclasses.replace(economic_life(INSTANCE_C4_1), minimizers=MinimizerSet("single_point", [0.0]))
+    assert hash(result) == hash(economic_life(INSTANCE_C4_1))
+
+
 RESULT_FIELDS = [
     "case",
     "minimizers",

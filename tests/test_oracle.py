@@ -565,3 +565,43 @@ def test_age_inf_opens_no_zoom_bracket(monkeypatch):
         brute_force_minimize(p)
     last_finite = oracle._ages(np.array(oracle._LAST - 1))
     assert brackets and all(lo < last_finite and hi <= last_finite for lo, hi in brackets)
+
+
+def test_the_first_evaluation_splits_both_finite_first_cells(monkeypatch):
+    # The scan's first cost evaluation is one constant grid: [0, 10 y] and
+    # [10 y, 6.3e5 y] each split _SPLIT ways, that anchor and age inf, no
+    # index twice.  Starting there saves the level that used to split both
+    # cells: this asset's scan takes 3 cost evaluations where it took 4.
+    anchor = oracle._LINEAR_END + (oracle._LAST - oracle._LINEAR_END) // oracle._SPLIT
+    steps = np.arange(oracle._SPLIT)
+    expected = np.concatenate((
+        oracle._LINEAR_END * steps // oracle._SPLIT,
+        oracle._LINEAR_END + (anchor - oracle._LINEAR_END) * steps // oracle._SPLIT,
+        [anchor, oracle._LAST],
+    ))
+    assert np.array_equal(oracle._FIRST_INDICES, expected)
+    assert np.all(np.diff(oracle._FIRST_INDICES) > 0)
+    assert oracle._FIRST_AGES.tobytes() == oracle._ages(expected).tobytes()
+    calls = []
+
+    def recording(params, ages):
+        calls.append(ages)
+        return cost_pieces(params, ages)
+
+    monkeypatch.setattr(oracle, "cost_pieces", recording)
+    brute_force_minimize(AssetParams(1000.0, 20.0, 100.0, 0.1))
+    assert len(calls) == 3
+    assert calls[0] is oracle._FIRST_AGES
+
+
+def test_the_search_constants_are_read_only():
+    # Every search shares them, so an in-place write raises instead of
+    # changing every later search; cost_pieces reads a read-only age array.
+    for constant in (oracle._GL_NODES, oracle._GL_WEIGHTS, oracle._BOUND_SLACK,
+                     oracle._FIRST_INDICES, oracle._FIRST_AGES):
+        assert not constant.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            constant += 0
+    ages = oracle._FIRST_AGES
+    pieces = cost_pieces(INSTANCE_C5, ages)
+    assert all(piece.tobytes() == fresh.tobytes() for piece, fresh in zip(pieces, cost_pieces(INSTANCE_C5, ages.copy())))
