@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -145,30 +146,37 @@ def _serialized_minimizers(result) -> tuple[str, str, str]:
     return lo, lo, ""
 
 
+def _write_csv(stream, header, rows) -> None:
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def _write(fmt: str, fields: dict[str, str], text: str, indent: int | None = None) -> None:
     """Print ``fields`` (name -> formatted text) as ``fmt``: the given text,
     a JSON object or a header and a value line of CSV.
 
-    In JSON every number is a number, the case label a string and a blank
-    optional field ``null``.
+    In JSON every finite number is a number, a non-finite one the text the
+    other formats print ("inf", "-inf" or "nan"), the case label a string and
+    a blank optional field ``null``, so the output is strict JSON.
     """
     if fmt == "text":
         print(text)
     elif fmt == "json":
-        print(json.dumps({name: _json_value(value) for name, value in fields.items()}, indent=indent))
+        values = {name: _json_value(value) for name, value in fields.items()}
+        print(json.dumps(values, indent=indent, allow_nan=False))
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(fields)
-        writer.writerow(fields.values())
+        _write_csv(sys.stdout, fields, [fields.values()])
 
 
 def _json_value(text: str):
     if not text:
         return None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return text
+    return value if math.isfinite(value) else text
 
 
 def _cmd_classify(args) -> int:
@@ -207,18 +215,11 @@ def _cmd_curve(args) -> int:
         age = economic_life(params).interior_minimum_age
         t_max = 2.0 * (params.junction if age is None else max(params.junction, age))
     step = args.step if args.step is not None else t_max / 500.0
-    samples = curve(params, t_max, step)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["t", "capital_cost", "maintenance_cost", "property_cost"])
-    for sample in samples:
-        writer.writerow(
-            [
-                _num(sample.t),
-                _num(sample.capital_cost),
-                _num(sample.maintenance_cost),
-                _num(sample.property_cost),
-            ]
-        )
+    rows = (
+        [_num(sample.t), _num(sample.capital_cost), _num(sample.maintenance_cost), _num(sample.property_cost)]
+        for sample in curve(params, t_max, step)
+    )
+    _write_csv(sys.stdout, ["t", "capital_cost", "maintenance_cost", "property_cost"], rows)
     return 0
 
 
@@ -254,15 +255,9 @@ def _cmd_fleet(args) -> int:
         with open(args.input, newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
     except OSError as exc:
-        print(f"error: cannot read {args.input!r}: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot read {args.input!r}: {exc}") from None
     if not rows or rows[0] != FLEET_INPUT_HEADER:
-        print(
-            f"error: malformed header in {args.input!r}; expected "
-            f"{','.join(FLEET_INPUT_HEADER)}",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError(f"malformed header in {args.input!r}; expected {','.join(FLEET_INPUT_HEADER)}")
 
     seen_ids: set[str] = set()
     results = []
@@ -270,16 +265,15 @@ def _cmd_fleet(args) -> int:
         results.append(_fleet_row(fields, seen_ids, args.verify))
         seen_ids.update(fields[:1])  # an id is taken by its first line, valid or not
 
-    def write_rows(stream):
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(FLEET_OUTPUT_HEADER)
-        writer.writerows(results)
-
     if args.output is None:
-        write_rows(sys.stdout)
-    else:
-        with open(args.output, "w", newline="", encoding="utf-8") as handle:
-            write_rows(handle)
+        _write_csv(sys.stdout, FLEET_OUTPUT_HEADER, results)
+        return 0
+    try:
+        handle = open(args.output, "w", newline="", encoding="utf-8")
+    except OSError as exc:  # only the open: a closed stdout pipe is main's to handle
+        raise ValueError(f"cannot write {args.output!r}: {exc}") from None
+    with handle:
+        _write_csv(handle, FLEET_OUTPUT_HEADER, results)
     return 0
 
 

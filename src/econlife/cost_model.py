@@ -78,14 +78,15 @@ def _scalar_or_array(values, scalar: bool):
 def _kernel(params: AssetParams, ages):
     """The pieces every cost is built from, at the flat array ``ages``.
 
-    With x = r t held at ``_HOLD`` and q = 1 - x/(e^x - 1), returns c, the
-    mean yearly loss of resale value (b up to the junction, A/t past it);
-    p = 1 - q = x/(e^x - 1), in (0, 1]; and m = a (q/r).  Below x = 0.1, where
-    q cancels, both come from h = gap(-x)/x^2 = ``gap_series(-x)``, whose
-    terms are all positive: e^x - 1 = x (1 + x h), so p = 1/(1 + x h) and
-    m = t (a (q/x)) with q/x = h p.  x = 0 needs no special case, and m keeps
-    its digits where r t underflows.  Each is a fresh array that the caller
-    may overwrite.
+    With x = r t held at ``_HOLD`` and q = 1 - x/(e^x - 1), returns the
+    capital piece D = c p, where c is the mean yearly loss of resale value
+    (b up to the junction, A/t past it); p = 1 - q = x/(e^x - 1), in (0, 1];
+    and the maintenance piece m = a (q/r).  Below x = 0.1, where q cancels, p
+    and m come from h = gap(-x)/x^2 = ``gap_series(-x)``, whose terms are all
+    positive: e^x - 1 = x (1 + x h), so p = 1/(1 + x h) and m = t (a (q/x))
+    with q/x = h p.  x = 0 needs no special case, and m keeps its digits
+    where r t underflows.  Each is a fresh array that the caller may
+    overwrite.
     """
     a = params.maint_slope
     r = params.interest_rate
@@ -112,10 +113,11 @@ def _kernel(params: AssetParams, ages):
             h *= ps  # q/x
             m[small] = ages[small] * (a * h)
             p[small] = ps
-    c = x  # x is spent
-    c.fill(params.depreciation_rate)
-    np.divide(params.acquisition_cost, ages, out=c, where=ages > params.junction)
-    return c, p, m
+    d = x  # x is spent
+    d.fill(params.depreciation_rate)
+    np.divide(params.acquisition_cost, ages, out=d, where=ages > params.junction)
+    d *= p
+    return d, p, m
 
 
 def cost_pieces(params: AssetParams, ages):
@@ -124,8 +126,7 @@ def cost_pieces(params: AssetParams, ages):
     D never rises with age and I never falls, so on a cell [u, v] of ages h
     lies between ``cost_of_pieces`` of D(v), I(u) and of D(u), I(v).
     """
-    d, p, m = _kernel(params, ages)
-    d *= p
+    d, _, m = _kernel(params, ages)
     return d, m, cost_of_pieces(params, d, m)
 
 
@@ -139,8 +140,7 @@ def cost_of_pieces(params: AssetParams, capital, maintenance):
 
 def _capital_and_maintenance(params: AssetParams, ages):
     """Capital and maintenance cost at the flat array ``ages``."""
-    d, p, m = _kernel(params, ages)
-    d *= p
+    d, _, m = _kernel(params, ages)
     return cost_of_pieces(params, d, 0.0), math.expm1(params.interest_rate) / params.interest_rate * m
 
 
@@ -193,7 +193,7 @@ def property_cost(params: AssetParams, t):
     """
     arr, scalar = _as_ages(t)
     _, _, out = cost_pieces(params, arr.reshape(-1))
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return _scalar_or_array(out.reshape(arr.shape), scalar)
 
 
 def property_cost_derivative(params: AssetParams, t):
@@ -218,13 +218,13 @@ def property_cost_derivative(params: AssetParams, t):
 
     ages = arr.reshape(-1)
     # q/r from the kernel at unit slope: a q/r keeps no digits of it at a subnormal a
-    c, p, w = _kernel(replace(params, maint_slope=1.0), ages)
+    d, p, w = _kernel(replace(params, maint_slope=1.0), ages)
     with np.errstate(invalid="ignore"):  # inf/inf at t = inf, zeroed below
         dq = p * (1.0 - w / ages)  # (x - q)/(e^x - 1)
     out = (a - params.depreciation_rate * r) * dq
-    past = ages > params.junction  # where c = A/t
-    c, p, t_past = c[past], p[past], ages[past]
-    out[past] = a * dq[past] - c * p * (r + p / t_past)
+    past = ages > params.junction  # where D = (A/t)(1 - q)
+    p, t_past = p[past], ages[past]
+    out[past] = a * dq[past] - d[past] * (r + p / t_past)
     out *= math.expm1(r) / r
     out[r * ages > _HOLD] = 0.0
     return _scalar_or_array(out.reshape(arr.shape), scalar)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_model import AssetParams, cost_pieces, property_cost
+from .cost_model import AssetParams, cost_of_pieces, cost_pieces, property_cost
 from .errors import NumericError
 
 __all__ = [
@@ -65,8 +65,8 @@ _SPLIT = 64
 _LINEAR_END = 10_000
 _LOG_RATIO = math.log1p(1.0 / _LINEAR_END)
 _LAST = _LINEAR_END + math.ceil(math.log(np.finfo(float).max / (_LINEAR_END * GRID_STEP)) / _LOG_RATIO)
-# Factors widening the upper and lower cost bound of a scan cell or zoom
-# bracket for rounded pieces.
+# Factors widening ``cost_of_pieces`` into the upper and lower cost bound of
+# a scan cell or candidate bracket: they cover the pieces' rounding.
 _BOUND_SLACK = _read_only(1.0 + np.array([[64.0], [-64.0]]) * np.finfo(float).eps)
 # Each zoom grid narrows a bracket 32-fold.
 _ZOOM_POINTS = 65
@@ -167,7 +167,7 @@ def brute_force_minimize(params: AssetParams) -> MinimizationReport:
     # bound their costs from below, as a scan cell's ends do, and the
     # threshold is at least the final tie band.
     pieces = d[np.searchsorted(indices, above)], i[np.searchsorted(indices, below, "right") - 1]
-    reach = _bounds(params, *pieces)[1] <= threshold
+    reach = cost_of_pieces(params, *pieces) * _BOUND_SLACK[1] <= threshold
     zoomed = int(reach.sum())
     # The ages of the brackets' ends, then of the plateau's ends, the argmin and tail_start.
     ages = _ages(np.concatenate((below[reach], above[reach], [start, end, argmin_index, indices[-2]])))
@@ -215,17 +215,20 @@ def _spacing(age: float) -> float:
     return max(GRID_STEP, age / _LINEAR_END)
 
 
+def _cuts(lo, hi):
+    """The ``_SPLIT`` + 1 grid indices that cut [lo[k], hi[k]] ``_SPLIT`` ways, ends included, as row k."""
+    return lo[:, None] + (hi - lo).astype(np.int64)[:, None] * np.arange(_SPLIT + 1) // _SPLIT
+
+
 def _first_level():
     """The grid indices of the scan's first cost evaluation, and their ages.
 
     The finite first cells [0, 10 y] and [10 y, 6.3e5 y] (a ``_SPLIT``-th of
-    the geometric indices), each split ``_SPLIT`` ways as ``_scan`` splits a
-    wide cell, then index ``_LAST`` (age inf).  Increasing, none repeated.
+    the geometric indices), each cut by ``_cuts`` as ``_scan`` cuts a wide
+    cell, then index ``_LAST`` (age inf).  Increasing, none repeated.
     """
     anchors = np.array([0, _LINEAR_END, _LINEAR_END + (_LAST - _LINEAR_END) // _SPLIT])
-    lo, hi = anchors[:-1, None], anchors[1:, None]
-    cuts = lo + (hi - lo) * np.arange(_SPLIT + 1) // _SPLIT
-    indices = np.concatenate((cuts[:, :-1], [[anchors[-1], _LAST]]), axis=None)
+    indices = np.concatenate((_cuts(anchors[:-1], anchors[1:])[:, :-1], [[anchors[-1], _LAST]]), axis=None)
     return indices, _ages(indices)
 
 
@@ -241,7 +244,8 @@ def _scan(params):
     between the cost of D(hi) and I(lo) and that of D(lo) and I(hi).  The
     cells are the columns of one float array with rows lo, D(lo), I(lo),
     I(hi), D(hi), hi (indices lie below 2^53, so floats hold them exactly):
-    rows 1:3 plus rows 3:5 are the pieces of the upper and lower bounds.
+    ``cost_of_pieces`` of rows 1:3 and rows 3:5, widened by
+    ``_BOUND_SLACK``, gives the upper and lower bounds.
     The first evaluation covers ``_first_level``: the finite cells
     [0, 10 y] and [10 y, 6.3e5 y], already split ``_SPLIT`` ways because
     nearly every row splits both, and the tail cell [6.3e5 y, inf] whole, to
@@ -257,7 +261,6 @@ def _scan(params):
     ``brute_force_minimize`` bounds each candidate bracket: it zooms only
     those that can tie, and counts them as refinements.
     """
-    steps = np.arange(_SPLIT + 1)
     d, i, h = cost_pieces(params, _FIRST_AGES)
     indices, pieces, values = [_FIRST_INDICES], [(d, i)], [h]
     h_min, evaluated = float(h.min()), _FIRST_INDICES.size
@@ -265,7 +268,7 @@ def _scan(params):
     cells = np.concatenate((ends[:, :-1], ends[::-1, 1:]))
     while True:
         threshold = h_min + TIE_RTOL * abs(h_min)
-        bounds = _bounds(params, cells[1:3], cells[3:5])
+        bounds = cost_of_pieces(params, cells[1:3], cells[3:5]) * _BOUND_SLACK
         keep = bounds[1] <= threshold
         split = keep & (bounds[0] > threshold)
         parts = cells.compress(split, axis=1)
@@ -273,11 +276,11 @@ def _scan(params):
             break
         kept = cells.compress(keep ^ split, axis=1)  # split lies within keep
         small = parts[5] - parts[0] <= _SPLIT
-        inside = parts[0, :, None] + steps[1:-1]
+        inside = parts[0, :, None] + np.arange(1, _SPLIT)
         inside = inside[small[:, None] & (inside < parts[5, :, None])]
         cut = parts.compress(~small, axis=1)
         edges = np.empty((3, cut.shape[1], _SPLIT + 1))  # index, D and I at each cut
-        edges[0] = cut[0, :, None] + (cut[5] - cut[0]).astype(np.int64)[:, None] * steps // _SPLIT
+        edges[0] = _cuts(cut[0], cut[5])
         new = np.concatenate((inside, edges[0, :, 1:-1]), axis=None)
         evaluated += new.size
         if evaluated > GRID_BUDGET:
@@ -295,16 +298,6 @@ def _scan(params):
     indices, (d, i), values = np.concatenate(indices), np.concatenate(pieces, axis=1), np.concatenate(values)
     order = np.argsort(indices)
     return indices[order].astype(np.int64), values[order], h_min, d[order], i[order]
-
-
-def _bounds(params, pieces, more):
-    """``cost_of_pieces`` of pieces + more in its operation order, widened up (row 0) and down (row 1).
-
-    ``_BOUND_SLACK`` covers the pieces' rounding, so the rows bound every
-    cost whose pieces sum to at most, and at least, pieces + more.
-    """
-    r = params.interest_rate
-    return (pieces + more + params.acquisition_cost * r) * (math.expm1(r) / r) * _BOUND_SLACK
 
 
 def _basins(indices, values):

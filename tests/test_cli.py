@@ -1,12 +1,19 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from conftest import draw_params
 from econlife.cli import main
+from econlife.errors import NumericError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 C4_3_FLAGS = ["--acquisition", "40", "--maint-slope", "5", "--depreciation", "20", "--rate", "0.1"]
 C1_FLAGS = ["--acquisition", "100", "--maint-slope", "10", "--depreciation", "20", "--rate", "0.1"]
@@ -167,6 +174,27 @@ def test_classify_tie_and_interval_goldens(capsys, case, fmt):
     code, out, err = run_cli(capsys, "classify", *flags, "--format", fmt)
     assert code == 0 and err == ""
     assert out == CLASSIFY_GOLDENS[case, fmt]
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["classify", "--acquisition", "4.047588322328179e+259", "--maint-slope", "3.57842399108513e-88",
+          "--depreciation", "3.0693584168295437e+119", "--rate", "1.0223713365911213e-207"],
+         "acquisition_threshold"),
+        (["finance", "future-value", "--annuity", "1e308", "--rate", "1", "--periods", "10"], "value"),
+    ],
+    ids=["overflowing_tie_threshold", "overflowing_future_value"],
+)
+def test_json_keeps_a_non_finite_number_as_its_text(capsys, argv, field):
+    # json.loads accepts Infinity and NaN; strict JSON has neither
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out, parse_constant=_no_constant)[field] == "inf"
 
 
 def test_classify_is_deterministic(capsys):
@@ -472,6 +500,57 @@ def test_fleet_malformed_header_exits_1(tmp_path, capsys):
 def test_fleet_unreadable_file_exits_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fleet", "--input", str(tmp_path / "missing.csv"))
     assert code == 1 and "cannot read" in err
+
+
+def test_fleet_unwritable_output_exits_1(tmp_path, capsys):
+    src, dst = tmp_path / "fleet.csv", tmp_path / "missing" / "out.csv"
+    src.write_text(FLEET_INPUT, encoding="utf-8")
+    code, out, err = run_cli(capsys, "fleet", "--input", str(src), "--output", str(dst))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {str(dst)!r}: ") and err.count("\n") == 1
+
+
+def test_fleet_field_count_and_number_errors(tmp_path, capsys):
+    # a blank line is a row of no fields; each bad row fills its error column
+    path = tmp_path / "fleet.csv"
+    path.write_text(
+        FLEET_INPUT.splitlines(keepends=True)[0]
+        + "f4,1,1,1\nf6,1,1,1,0.5,0\n\nnan,1,x 1,1,0.5\nok,40,5,20,0.1\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "fleet", "--input", str(path))
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:] == [
+        "f4,,,,,,\"expected 5 fields, got 4\"",
+        "f6,,,,,,\"expected 5 fields, got 6\"",
+        ",,,,,,\"expected 5 fields, got 0\"",
+        "nan,,,,,,maint_slope is not a number: 'x 1'",
+        "ok,C4_3,4.2854134374,4.2854134374,,22.5350432772,",
+    ]
+
+
+def test_a_numeric_failure_exits_2(capsys, monkeypatch):
+    def fail(params):
+        raise NumericError("no convergence")
+
+    monkeypatch.setattr("econlife.cli.economic_life", fail)
+    code, out, err = run_cli(capsys, "classify", *C4_3_FLAGS)
+    assert (code, out, err) == (2, "", "numeric error: no convergence\n")
+
+
+def test_a_closed_stdout_pipe_exits_0_quietly():
+    # as `econlife curve ... | head -1`: the reader leaves after one line,
+    # long before the 20,001 rows (about 1 MB) fit in the pipe
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "econlife.cli", "curve", *C4_3_FLAGS, "--t-max", "100", "--step", "0.005"]
+    with subprocess.Popen(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first == b"t,capital_cost,maintenance_cost,property_cost\n"
+    assert (code, err) == (0, b"")
 
 
 def test_fleet_verify_clean_on_random_rows(tmp_path, capsys, rng):

@@ -277,10 +277,10 @@ def test_check_against_search_work_is_bounded_past_the_horizon(monkeypatch):
         assert counted[0] <= 100.0 / (p.interest_rate * 1e-3) + 2**17, p
 
 
-# Interior optimum at rate * age ~ 1e4, far past the scan cap of 686 years:
+# Interior optimum at rate * age ~ 1e4, far out where the grid spacing grows with age:
 # beyond rate * age ~ 33 the cost is flat to within the tie tolerance, so the
 # whole tail of the grid ties its minimum.
-CAPPED_TIED_TAIL = AssetParams(1e4, 1.0, 1e3, 1.0)
+FAR_TIED_TAIL = AssetParams(1e4, 1.0, 1e3, 1.0)
 
 
 EXACT_TIE = AssetParams(acquisition_threshold(INSTANCE_C4_1), 5.0, 20.0, 0.1)
@@ -293,12 +293,12 @@ EXACT_TIE = AssetParams(acquisition_threshold(INSTANCE_C4_1), 5.0, 20.0, 0.1)
         (INSTANCE_C4_3, False),
         (AssetParams(100.0, 1.6, 2.0, 0.8), True),
         (EXACT_TIE, False),
-        (CAPPED_TIED_TAIL, True),
+        (FAR_TIED_TAIL, True),
         (INSTANCE_C5, False),
     ],
-    ids=["C1", "C4_3", "plateau", "exact_tie", "capped_tied_tail", "C5_in_the_tail"],
+    ids=["C1", "C4_3", "plateau", "exact_tie", "far_tied_tail", "C5_in_the_tail"],
 )
-def test_scan_is_chunk_invariant(monkeypatch, params, tied_tail):
+def test_scan_is_split_invariant(monkeypatch, params, tied_tail):
     # Between them these grids hold cells wholly above the tie threshold,
     # wholly at or below it (the plateau and the tied tail) and across it,
     # the three cases the scan settles differently; C5's optimum at 18.4 y
@@ -338,7 +338,7 @@ def test_scan_is_chunk_invariant(monkeypatch, params, tied_tail):
         assert all(reports[0].plateau[0] <= report.argmin_points[0] <= reports[0].plateau[1] for report in reports)
 
 
-@pytest.mark.parametrize("params", [INSTANCE_C1, INSTANCE_C5, EXACT_TIE, CAPPED_TIED_TAIL])
+@pytest.mark.parametrize("params", [INSTANCE_C1, INSTANCE_C5, EXACT_TIE, FAR_TIED_TAIL])
 def test_the_scan_finishes_on_a_budget_of_exactly_its_points(monkeypatch, params):
     # GRID_BUDGET bounds the points of all the scan's cost evaluations
     # together: a budget of exactly that many lets it finish, one fewer
@@ -397,7 +397,7 @@ def test_the_zoom_skips_only_brackets_that_cannot_tie(monkeypatch):
     monkeypatch.setattr(oracle, "_zoom", recording)
     rng = np.random.default_rng(20261019)
     instances = [INSTANCE_C1, INSTANCE_C4_1, INSTANCE_C4_3, INSTANCE_C5, INSTANCE_FLAT, EXACT_TIE,
-                 CAPPED_TIED_TAIL, AssetParams(100.0, 1.6, 2.0, 0.8), AssetParams(1e6, 1.0, 1.0, 1.0)]
+                 FAR_TIED_TAIL, AssetParams(100.0, 1.6, 2.0, 0.8), AssetParams(1e6, 1.0, 1.0, 1.0)]
     skipped = 0
     for p in instances + [draw_params(rng) for _ in range(200)]:
         zoomed.clear()
@@ -561,7 +561,7 @@ def test_age_inf_opens_no_zoom_bracket(monkeypatch):
     monkeypatch.setattr(oracle, "_zoom", recording)
     far = AssetParams(1.4504029835243377e+30, 8.614985459036953e-58, 5520073410997.727, 3.0231032535690386e-06)
     assert brute_force_minimize(far).argmin_points == (math.inf,)
-    for p in (INSTANCE_C1, INSTANCE_C5, CAPPED_TIED_TAIL, AssetParams(1e6, 1.0, 1.0, 1.0)):
+    for p in (INSTANCE_C1, INSTANCE_C5, FAR_TIED_TAIL, AssetParams(1e6, 1.0, 1.0, 1.0)):
         brute_force_minimize(p)
     last_finite = oracle._ages(np.array(oracle._LAST - 1))
     assert brackets and all(lo < last_finite and hi <= last_finite for lo, hi in brackets)
