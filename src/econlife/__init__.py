@@ -71,37 +71,13 @@ __all__ = [
     "w0_series",
 ]
 
-#: Public names of the numpy-backed layers, by defining submodule.
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "CostSample",
-            "capital_cost",
-            "curve",
-            "maintenance",
-            "maintenance_cost",
-            "property_cost",
-            "property_cost_derivative",
-            "salvage",
-        ),
-        "cost_model",
-    ),
-    **dict.fromkeys(
-        (
-            "MinimizationReport",
-            "brute_force_minimize",
-            "check_against_search",
-            "integrate_discounted_maintenance",
-        ),
-        "oracle",
-    ),
-}
-
 
 def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+    # A public name not imported above is looked up in the numpy-backed layers.
+    if name in __all__:
+        for submodule in ("cost_model", "oracle"):
+            module = importlib.import_module(f".{submodule}", __name__)
+            if name in module.__all__:
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

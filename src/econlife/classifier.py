@@ -275,7 +275,7 @@ def economic_life(params: AssetParams) -> EconomicLifeResult:
     A_threshold = acquisition_threshold(params) if a > speed else None
 
     scale = math.expm1(r) / r
-    cost_at_zero = scale * (A * r + b)
+    min_cost = scale * (A * r + b)  # at age 0; C5 and C4_3 replace it
     flat = a == speed
     if tau is None:
         # a >= slope_threshold >= speed: the cost rises beyond the junction.
@@ -287,7 +287,6 @@ def economic_life(params: AssetParams) -> EconomicLifeResult:
             case, minimizers = CaseLabel.C2, MinimizerSet.closed_interval(0.0, junction)
         else:
             case, minimizers = CaseLabel.C1, _AT_ZERO
-        min_cost = cost_at_zero
     elif interior_age == math.inf and (flat or a < speed or A <= A_threshold):
         # C5, C4_2 or C4_3: the interior optimum is a minimizer
         raise ValueError(f"interior optimum age tau/r = {tau!r}/{r!r} overflows the float range")
@@ -296,10 +295,8 @@ def economic_life(params: AssetParams) -> EconomicLifeResult:
         min_cost = scale * a * interior_age
     elif A == A_threshold:
         case, minimizers = CaseLabel.C4_2, MinimizerSet.pair(0.0, interior_age)
-        min_cost = cost_at_zero
     elif A > A_threshold:
         case, minimizers = CaseLabel.C4_1, _AT_ZERO
-        min_cost = cost_at_zero
     else:
         case, minimizers = CaseLabel.C4_3, MinimizerSet.point(interior_age)
         min_cost = scale * a * interior_age

@@ -58,17 +58,16 @@ def _opt_num(value) -> str:
 
 
 class _UsageError(Exception):
-    def __init__(self, parser: argparse.ArgumentParser, message: str):
-        super().__init__(message)
-        self.parser = parser
-        self.message = message
+    """A usage problem, already reported on stderr."""
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage problems; keep 2 reserved for
     # numeric failures and report usage problems as input errors (status 1).
     def error(self, message):
-        raise _UsageError(self, message)
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise _UsageError
 
 
 def _add_asset_flags(parser: argparse.ArgumentParser):
@@ -287,9 +286,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        exc.parser.print_usage(sys.stderr)
-        print(f"{exc.parser.prog}: error: {exc.message}", file=sys.stderr)
+    except _UsageError:
         return 1
     try:
         return args.handler(args)

@@ -61,18 +61,16 @@ class CostSample:
     property_cost: float
 
 
-def _as_ages(t):
-    """Validate ages and return (array, was_scalar)."""
+def _at_ages(t, flat):
+    """``flat`` of the validated ages t as a flat array: a float for a
+    scalar t, else an array of t's shape."""
     arr = np.asarray(t, dtype=float)
     # A NaN fails the comparison; the offending age is looked up only on failure.
     if arr.size and not arr.min() >= 0.0:
         bad = arr[np.isnan(arr) | (arr < 0.0)].flat[0]
         raise ValueError(f"age must be >= 0; got t = {bad!r}")
-    return arr, arr.ndim == 0
-
-
-def _scalar_or_array(values, scalar: bool):
-    return float(values[()]) if scalar else values
+    out = flat(arr.reshape(-1)).reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
 
 
 def _kernel(params: AssetParams, ages):
@@ -146,17 +144,17 @@ def _capital_and_maintenance(params: AssetParams, ages):
 
 def maintenance(params: AssetParams, t):
     """Upkeep expense rate M at age t: grows linearly from zero."""
-    arr, scalar = _as_ages(t)
-    return _scalar_or_array(params.maint_slope * arr, scalar)
+    return _at_ages(t, lambda ages: params.maint_slope * ages)
 
 
 def salvage(params: AssetParams, t):
     """Resale value at age t: linear decline to zero, then zero."""
-    arr, scalar = _as_ages(t)
-    A = params.acquisition_cost
-    b = params.depreciation_rate
-    out = np.where(arr < params.junction, np.maximum(A - b * arr, 0.0), 0.0)
-    return _scalar_or_array(out, scalar)
+    def flat(ages):
+        with np.errstate(over="ignore"):  # b t overflows only past the junction, where S = 0
+            resale = np.maximum(params.acquisition_cost - params.depreciation_rate * ages, 0.0)
+        return np.where(ages < params.junction, resale, 0.0)
+
+    return _at_ages(t, flat)
 
 
 def capital_cost(params: AssetParams, t):
@@ -166,9 +164,7 @@ def capital_cost(params: AssetParams, t):
     continuously, then spread into a level annual amount.  At t = 0 the
     value is the continuity limit (e^r - 1)(A r + b)/r.
     """
-    arr, scalar = _as_ages(t)
-    g, _ = _capital_and_maintenance(params, arr.reshape(-1))
-    return _scalar_or_array(g.reshape(arr.shape), scalar)
+    return _at_ages(t, lambda ages: _capital_and_maintenance(params, ages)[0])
 
 
 def maintenance_cost(params: AssetParams, t):
@@ -177,9 +173,7 @@ def maintenance_cost(params: AssetParams, t):
     Closed form of the discounted accumulation of the linear expense rate:
     (e^r - 1) a (e^(rt) - 1 - rt) / (r^2 (e^(rt) - 1)), with value 0 at t = 0.
     """
-    arr, scalar = _as_ages(t)
-    _, f = _capital_and_maintenance(params, arr.reshape(-1))
-    return _scalar_or_array(f.reshape(arr.shape), scalar)
+    return _at_ages(t, lambda ages: _capital_and_maintenance(params, ages)[1])
 
 
 def property_cost(params: AssetParams, t):
@@ -191,9 +185,7 @@ def property_cost(params: AssetParams, t):
 
     The value is scale (A r + c (1 - q) + a (q/r)), from ``cost_pieces``.
     """
-    arr, scalar = _as_ages(t)
-    _, _, out = cost_pieces(params, arr.reshape(-1))
-    return _scalar_or_array(out.reshape(arr.shape), scalar)
+    return _at_ages(t, lambda ages: cost_pieces(params, ages)[2])
 
 
 def property_cost_derivative(params: AssetParams, t):
@@ -205,29 +197,29 @@ def property_cost_derivative(params: AssetParams, t):
     scale (a q' - (A/t)(1 - q)(r + (1 - q)/t)) past it.  Past rate * age = 700
     the evaluated cost is constant and the slope is 0.
     """
-    arr, scalar = _as_ages(t)
-    if np.any(arr <= 0.0):
-        raise ValueError("derivative requires age t > 0")
-    if np.any(arr == params.junction):
-        raise ValueError(
-            "derivative is one-sided at the full-depreciation age "
-            f"junction = {params.junction!r}"
-        )
-    a = params.maint_slope
-    r = params.interest_rate
+    def flat(ages):
+        if np.any(ages <= 0.0):
+            raise ValueError("derivative requires age t > 0")
+        if np.any(ages == params.junction):
+            raise ValueError(
+                "derivative is one-sided at the full-depreciation age "
+                f"junction = {params.junction!r}"
+            )
+        a = params.maint_slope
+        r = params.interest_rate
+        # q/r from the kernel at unit slope: a q/r keeps no digits of it at a subnormal a
+        d, p, w = _kernel(replace(params, maint_slope=1.0), ages)
+        with np.errstate(invalid="ignore"):  # inf/inf at t = inf, zeroed below
+            dq = p * (1.0 - w / ages)  # (x - q)/(e^x - 1)
+        out = (a - params.depreciation_rate * r) * dq
+        past = ages > params.junction  # where D = (A/t)(1 - q)
+        p, t_past = p[past], ages[past]
+        out[past] = a * dq[past] - d[past] * (r + p / t_past)
+        out *= math.expm1(r) / r
+        out[r * ages > _HOLD] = 0.0
+        return out
 
-    ages = arr.reshape(-1)
-    # q/r from the kernel at unit slope: a q/r keeps no digits of it at a subnormal a
-    d, p, w = _kernel(replace(params, maint_slope=1.0), ages)
-    with np.errstate(invalid="ignore"):  # inf/inf at t = inf, zeroed below
-        dq = p * (1.0 - w / ages)  # (x - q)/(e^x - 1)
-    out = (a - params.depreciation_rate * r) * dq
-    past = ages > params.junction  # where D = (A/t)(1 - q)
-    p, t_past = p[past], ages[past]
-    out[past] = a * dq[past] - d[past] * (r + p / t_past)
-    out *= math.expm1(r) / r
-    out[r * ages > _HOLD] = 0.0
-    return _scalar_or_array(out.reshape(arr.shape), scalar)
+    return _at_ages(t, flat)
 
 
 def curve(params: AssetParams, t_max: float, step: float) -> list[CostSample]:
@@ -238,8 +230,10 @@ def curve(params: AssetParams, t_max: float, step: float) -> list[CostSample]:
     """
     if not (0.0 < step < t_max < math.inf):
         raise ValueError("curve grid requires 0 < step < t_max < inf")
-    count = int(math.floor(t_max / step + 1e-9))
-    ages = np.arange(count + 1, dtype=float) * step
+    count = t_max / step
+    if count == math.inf:
+        raise ValueError(f"curve grid t_max/step = {t_max!r}/{step!r} overflows the float range")
+    ages = np.arange(math.floor(count + 1e-9) + 1, dtype=float) * step
     g, f = _capital_and_maintenance(params, ages)
     h = g + f
     return [

@@ -51,7 +51,21 @@ class CashFlowSeries:
 
     def equivalent_annuity(self) -> float:
         """Level end-of-period deposit with the same future value."""
-        return self.future_value() * self.rate / math.expm1(self.horizon * math.log1p(self.rate))
+        return self.future_value() * self.rate / _growth(self.rate, self.horizon)
+
+
+def _growth(rate: float, periods: int) -> float:
+    """(1 + rate)^periods - 1, via expm1/log1p: the direct difference
+    cancels for tiny rates.  Raises ValueError for periods < 1 or where the
+    growth leaves the float range."""
+    if periods < 1:
+        raise ValueError("periods must be >= 1")
+    try:
+        return math.expm1(periods * math.log1p(rate))
+    except OverflowError:
+        raise ValueError(
+            f"(1 + rate)^periods overflows the float range: rate = {rate!r}, periods = {periods!r}"
+        ) from None
 
 
 def future_value_of_annuity(annuity: float, rate: float, periods: int) -> float:
@@ -59,11 +73,9 @@ def future_value_of_annuity(annuity: float, rate: float, periods: int) -> float:
 
     Closed form annuity * ((1+i)^N - 1) / i of the geometric sum.
     """
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
     if not rate > 0.0:
         raise ValueError("rate must be > 0")
-    return annuity * math.expm1(periods * math.log1p(rate)) / rate
+    return annuity * _growth(rate, periods) / rate
 
 
 def capital_recovery(present: float, rate: float, periods: int) -> float:
@@ -71,26 +83,21 @@ def capital_recovery(present: float, rate: float, periods: int) -> float:
 
     present * i (1+i)^N / ((1+i)^N - 1); the zero-interest limit is present/N.
     """
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
     if rate < 0.0:
         raise ValueError("rate must be >= 0")
+    growth_minus_one = _growth(rate, periods)  # checks periods, at rate 0 too
     if rate == 0.0:
         return present / periods
-    # (1+i)^N - 1 via expm1/log1p: the direct difference cancels for tiny i
-    growth_minus_one = math.expm1(periods * math.log1p(rate))
     return present * rate * (growth_minus_one + 1.0) / growth_minus_one
 
 
 def present_value(annuity: float, rate: float, periods: int) -> float:
     """Present value of a level end-of-period payment; inverse of capital_recovery."""
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
     if rate < 0.0:
         raise ValueError("rate must be >= 0")
+    growth_minus_one = _growth(rate, periods)  # checks periods, at rate 0 too
     if rate == 0.0:
         return annuity * periods
-    growth_minus_one = math.expm1(periods * math.log1p(rate))
     return annuity * growth_minus_one / (rate * (growth_minus_one + 1.0))
 
 
@@ -100,7 +107,7 @@ def effective_rate(nominal: float, periods_per_year: int) -> float:
         raise ValueError("nominal rate must be > 0")
     if periods_per_year < 1:
         raise ValueError("periods_per_year must be >= 1")
-    return math.expm1(periods_per_year * math.log1p(nominal / periods_per_year))
+    return _growth(nominal / periods_per_year, periods_per_year)
 
 
 def continuous_effective_rate(nominal: float) -> float:

@@ -290,6 +290,20 @@ def test_curve_rejects_infinite_horizon(capsys):
     assert code == 1 and "t_max < inf" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["finance", "present-value", "--annuity", "1", "--rate", "1e300", "--periods", "3"],
+        ["finance", "capital-recovery", "--present", "1", "--rate", "1e3", "--periods", "200"],
+        ["curve", *C4_3_FLAGS, "--t-max", "1e300", "--step", "1e-300"],
+    ],
+)
+def test_a_number_past_the_float_range_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "overflows the float range" in err
+
+
 def test_fleet_golden(tmp_path, capsys):
     path = tmp_path / "fleet.csv"
     path.write_text(FLEET_INPUT, encoding="utf-8")

@@ -102,6 +102,13 @@ def test_salvage_values():
         salvage(p, -0.5)
 
 
+def test_salvage_far_past_the_junction_is_zero_without_a_warning():
+    # b t overflows at t = 1e307, yet the resale value there is 0
+    p = INSTANCE_C4_3
+    assert salvage(p, 1e307) == 0.0
+    assert np.array_equal(salvage(p, np.array([[1.0, 1e307], [math.inf, 0.0]])), [[20.0, 0.0], [0.0, 40.0]])
+
+
 def test_capital_cost_zero_age_limit():
     p = INSTANCE_C1
     closed = math.expm1(0.1) * (100.0 * 0.1 + 20.0) / 0.1
@@ -196,11 +203,12 @@ def test_derivative_exactly_zero_on_flat_segment():
         assert property_cost_derivative(p, t) == 0.0
 
 
-@pytest.mark.parametrize("t", [0.5, 2.0, 4.0, 6.0, 9.0, 30.0])
+# either side of the junction; test_derivative_domain_errors covers the junction itself
+@pytest.mark.parametrize(
+    "t", [0.5, INSTANCE_C4_3.junction * (1.0 - 1e-3), INSTANCE_C4_3.junction * (1.0 + 1e-3), 4.0, 6.0, 9.0, 30.0]
+)
 def test_derivative_matches_finite_difference(t):
     p = INSTANCE_C4_3
-    if abs(t - p.junction) < 1e-3:
-        pytest.skip("derivative is one-sided at the junction")
     delta = 1e-6
     fd = (property_cost(p, t + delta) - property_cost(p, t - delta)) / (2.0 * delta)
     assert property_cost_derivative(p, t) == pytest.approx(fd, rel=1e-5)

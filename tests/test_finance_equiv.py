@@ -66,6 +66,20 @@ def test_validation():
         continuous_effective_rate(-0.1)
 
 
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        (future_value_of_annuity, (1.0, 1e3, 200)),
+        (capital_recovery, (1.0, 1e3, 200)),
+        (present_value, (1.0, 1e300, 3)),
+        (effective_rate, (1e300, 2)),
+    ],
+)
+def test_growth_past_the_float_range_is_refused(function, args):
+    with pytest.raises(ValueError, match="overflows the float range"):
+        function(*args)
+
+
 def test_effective_rate_values():
     assert effective_rate(0.1, 1) == pytest.approx(0.1, rel=1e-15)
     assert effective_rate(0.1, 2) == pytest.approx(0.1025, rel=1e-14)

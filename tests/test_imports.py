@@ -51,6 +51,28 @@ def test_public_names_resolve():
     assert econlife.cost_model.AssetParams is econlife.AssetParams
 
 
+def test_lazy_names_are_looked_up_in_their_layer():
+    code = """if True:
+        import sys, econlife, econlife.cost_model, econlife.oracle
+        lazy = [name for name in econlife.__all__ if name not in vars(econlife)]
+        assert lazy, "no name is resolved lazily"
+        for name in lazy:
+            homes = [m for m in (econlife.cost_model, econlife.oracle) if name in m.__all__]
+            assert len(homes) == 1, name
+    """
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    fresh = [
+        ("econlife.property_cost", "'econlife.cost_model' in sys.modules and 'econlife.oracle' not in sys.modules"),
+        ("econlife.check_against_search", "'econlife.oracle' in sys.modules"),
+        ("not hasattr(econlife, 'no_such_name')", "'numpy' not in sys.modules"),
+    ]
+    for expression, loaded in fresh:
+        code = f"import sys, econlife; assert {expression}; sys.exit(not ({loaded}))"
+        done = run_python("-c", code)
+        assert done.returncode == 0, done.stderr or f"{expression}: not {loaded}"
+
+
 def test_readme_library_example():
     # README's python block runs, and the comment on each expression line
     # starts with the repr of that expression's value
