@@ -45,5 +45,7 @@ for title, params in instances:
 
 print("note: the flat (C2) and decreasing (C3) regimes of the case analysis")
 print("require the maintenance slope to reach the slope threshold while not")
-print("exceeding b*r, but the threshold is provably above b*r, so exact")
-print("classification never emits them.")
+print("exceeding b*r, but the threshold is provably above b*r.  So exact")
+print("classification never emits C3, and emits C2 only where r*junction is")
+print("so large (beyond ~1e16) that the threshold rounds onto b*r, e.g.")
+print("AssetParams(1e20, 0.5, 1.0, 0.5), flat on [0, 1e20].")

@@ -11,26 +11,10 @@ then is numpy imported.
 
 import importlib
 
-from .classifier import (
-    CaseLabel,
-    EconomicLifeResult,
-    MinimizerSet,
-    acquisition_threshold,
-    classify,
-    economic_life,
-    gap,
-    interior_minimum_age,
-    slope_threshold,
-)
+from . import classifier, finance_equiv
+from .classifier import *
 from .errors import NumericError
-from .finance_equiv import (
-    CashFlowSeries,
-    capital_recovery,
-    continuous_effective_rate,
-    effective_rate,
-    future_value_of_annuity,
-    present_value,
-)
+from .finance_equiv import *
 from .lambert_w import w0, w0_inverse, w0_series
 from .params import AssetParams
 
@@ -38,38 +22,25 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssetParams",
-    "CaseLabel",
-    "CashFlowSeries",
-    "CostSample",
-    "EconomicLifeResult",
-    "MinimizationReport",
-    "MinimizerSet",
     "NumericError",
-    "acquisition_threshold",
-    "brute_force_minimize",
-    "capital_cost",
-    "capital_recovery",
-    "check_against_search",
-    "classify",
-    "continuous_effective_rate",
-    "curve",
-    "economic_life",
-    "effective_rate",
-    "future_value_of_annuity",
-    "gap",
-    "integrate_discounted_maintenance",
-    "interior_minimum_age",
-    "maintenance",
-    "maintenance_cost",
-    "present_value",
-    "property_cost",
-    "property_cost_derivative",
-    "salvage",
-    "slope_threshold",
     "w0",
     "w0_inverse",
     "w0_series",
+    "CostSample",
+    "MinimizationReport",
+    "brute_force_minimize",
+    "capital_cost",
+    "check_against_search",
+    "curve",
+    "integrate_discounted_maintenance",
+    "maintenance",
+    "maintenance_cost",
+    "property_cost",
+    "property_cost_derivative",
+    "salvage",
 ]
+__all__ += classifier.__all__
+__all__ += finance_equiv.__all__
 
 
 def __getattr__(name):

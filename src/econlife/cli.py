@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 invalid input, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -57,19 +58,6 @@ def _opt_num(value) -> str:
     return "" if value is None else _num(value)
 
 
-class _UsageError(Exception):
-    """A usage problem, already reported on stderr."""
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage problems; keep 2 reserved for
-    # numeric failures and report usage problems as input errors (status 1).
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise _UsageError
-
-
 def _add_asset_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--acquisition", type=float, required=True, help="purchase cost, currency units")
     parser.add_argument("--maint-slope", type=float, required=True, help="yearly maintenance growth, currency units per year^2")
@@ -82,8 +70,8 @@ def _add_format_flag(parser: argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="econlife", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="econlife", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="economic life of a single asset")
     _add_asset_flags(p_classify)
@@ -103,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fleet.set_defaults(handler=_cmd_fleet)
 
     p_fin = sub.add_parser("finance", help="cash-flow equivalence helpers")
-    fin_sub = p_fin.add_subparsers(dest="operation", required=True, parser_class=_Parser)
+    fin_sub = p_fin.add_subparsers(dest="operation", required=True)
     for operation, help_text, function, flags in FINANCE_OPERATIONS:
         p_op = fin_sub.add_parser(operation, help=help_text)
         for flag in flags:
@@ -264,15 +252,14 @@ def _cmd_fleet(args) -> int:
         results.append(_fleet_row(fields, seen_ids, args.verify))
         seen_ids.update(fields[:1])  # an id is taken by its first line, valid or not
 
-    if args.output is None:
-        _write_csv(sys.stdout, FLEET_OUTPUT_HEADER, results)
-        return 0
-    try:
-        handle = open(args.output, "w", newline="", encoding="utf-8")
-    except OSError as exc:  # only the open: a closed stdout pipe is main's to handle
-        raise ValueError(f"cannot write {args.output!r}: {exc}") from None
-    with handle:
-        _write_csv(handle, FLEET_OUTPUT_HEADER, results)
+    handle = contextlib.nullcontext(sys.stdout)
+    if args.output is not None:
+        try:
+            handle = open(args.output, "w", newline="", encoding="utf-8")
+        except OSError as exc:  # only the open: a closed stdout pipe is main's to handle
+            raise ValueError(f"cannot write {args.output!r}: {exc}") from None
+    with handle as stream:
+        _write_csv(stream, FLEET_OUTPUT_HEADER, results)
     return 0
 
 
@@ -286,7 +273,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError:
+    except SystemExit as exc:  # a usage error exits 2, which is kept for numeric failures
+        if exc.code != 2:
+            raise
         return 1
     try:
         return args.handler(args)

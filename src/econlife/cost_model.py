@@ -49,6 +49,9 @@ __all__ = [
 # so holding x leaves each cost exact at every larger age, inf included,
 # while e^x - 1 stays inside the double range.
 _HOLD = 700.0
+# ``curve`` refuses a grid of more points than this: at the cap the CLI's
+# ``curve`` already peaks near 300 MB resident.
+CURVE_MAX_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -226,14 +229,18 @@ def curve(params: AssetParams, t_max: float, step: float) -> list[CostSample]:
     """Sample the three cost functions on the grid 0, step, 2*step, ..., t_max.
 
     The final grid point is included when t_max is a multiple of step.  Each
-    sample's property cost is the float sum of its two components.
+    sample's property cost is the float sum of its two components.  A grid of
+    more than ``CURVE_MAX_POINTS`` points is refused.
     """
     if not (0.0 < step < t_max < math.inf):
         raise ValueError("curve grid requires 0 < step < t_max < inf")
     count = t_max / step
     if count == math.inf:
         raise ValueError(f"curve grid t_max/step = {t_max!r}/{step!r} overflows the float range")
-    ages = np.arange(math.floor(count + 1e-9) + 1, dtype=float) * step
+    points = math.floor(count + 1e-9) + 1
+    if points > CURVE_MAX_POINTS:
+        raise ValueError(f"curve grid t_max/step = {t_max!r}/{step!r} has {points} points, more than {CURVE_MAX_POINTS}")
+    ages = np.arange(points, dtype=float) * step
     g, f = _capital_and_maintenance(params, ages)
     h = g + f
     return [

@@ -46,8 +46,14 @@ class CashFlowSeries:
             raise ValueError("deposit periods must be distinct")
 
     def future_value(self) -> float:
-        """Value of all deposits at the end of the horizon."""
-        return sum(amount * (1.0 + self.rate) ** (self.horizon - k) for k, amount in self.deposits)
+        """Value of all deposits at the end of the horizon.  Raises ValueError
+        where a deposit's growth leaves the float range."""
+        try:
+            return sum(amount * (1.0 + self.rate) ** (self.horizon - k) for k, amount in self.deposits)
+        except OverflowError:
+            raise ValueError(
+                f"(1 + rate)^(horizon - k) overflows the float range: rate = {self.rate!r}, horizon = {self.horizon!r}"
+            ) from None
 
     def equivalent_annuity(self) -> float:
         """Level end-of-period deposit with the same future value."""
@@ -107,7 +113,11 @@ def effective_rate(nominal: float, periods_per_year: int) -> float:
         raise ValueError("nominal rate must be > 0")
     if periods_per_year < 1:
         raise ValueError("periods_per_year must be >= 1")
-    return _growth(nominal / periods_per_year, periods_per_year)
+    try:
+        rate = nominal / periods_per_year
+    except OverflowError:
+        raise ValueError(f"periods_per_year overflows the float range: {periods_per_year!r}") from None
+    return _growth(rate, periods_per_year)
 
 
 def continuous_effective_rate(nominal: float) -> float:

@@ -36,8 +36,16 @@ __all__ = [
 
 #: Grid values within this relative band of the minimum count as tied.
 TIE_RTOL = 1e-12
+#: A zoom bracket closes once its values tie within this relative band.
+ZOOM_RTOL = 1e-14
 #: ``check_against_search`` tolerance for the minimum cost, relative.
-VALUE_RTOL = 1e-9
+#: The error budget: the zoom leaves the least value within ``ZOOM_RTOL`` of
+#: its bracket's minimum, and the cost model is within 4e-15 of a decimal
+#: evaluation of the cash-flow definition (the bound of the tests'
+#: ``test_costs_match_the_cash_flow_definition``).  A closed form right to a few ulp
+#: therefore lies well inside 1e-13, so a mismatch at this band is a defect
+#: of the closed form, not a limit of the search.
+VALUE_RTOL = 1e-13
 #: A run of at least this many tied grid points is reported as a plateau.
 PLATEAU_MIN_POINTS = 3
 #: ``brute_force_minimize`` gives up, and ``check_against_search`` calls the
@@ -325,7 +333,7 @@ def _zoom(params, lo, hi):
     Every level lays a ``_ZOOM_POINTS`` grid over each bracket still open,
     in one cost evaluation for all of them, and narrows it to the two
     spacings around its best point, 1/32 of its width.  A bracket closes once
-    all its values tie its best within ``TIE_RTOL``: value comparison cannot
+    all its values tie its best within ``ZOOM_RTOL``: value comparison cannot
     narrow it further.  So the final width follows the cost's own scale: an
     optimum at 1e-150 y is reached, and a bracket rising from age 0 closes
     long before subnormal ages.  The level count would narrow the widest
@@ -343,7 +351,7 @@ def _zoom(params, lo, hi):
         flat = best + np.arange(0, values.size, _ZOOM_POINTS)  # into the flattened grids
         least = values.take(flat)
         best_ages[rows], best_values[rows] = ages.take(flat), least
-        still = values.max(axis=1) > least + TIE_RTOL * np.abs(least)
+        still = values.max(axis=1) > least + ZOOM_RTOL * np.abs(least)
         rows, flat, best = rows[still], flat[still], best[still]
         if not rows.size:
             break

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import econlife
 from conftest import draw_params
-from econlife.cli import main
+from econlife.cli import _build_parser, main
 from econlife.errors import NumericError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -210,6 +211,20 @@ def test_classify_missing_flag_exits_1(capsys):
     assert "usage" in err and "--maint-slope" in err
 
 
+def test_usage_errors_are_argparse_reports_with_exit_1(capsys):
+    code, out, err = run_cli(capsys, "classify", "--acquisition", "40")
+    usage = _build_parser()._subparsers._group_actions[0].choices["classify"].format_usage()
+    assert code == 1 and out == ""
+    assert err == usage + (
+        "econlife classify: error: the following arguments are required: "
+        "--maint-slope, --depreciation, --rate\n"
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert len(econlife.__all__) == len(set(econlife.__all__)) == 32
+
+
 def test_classify_invalid_value_exits_1(capsys):
     code, _, err = run_cli(
         capsys, "classify", "--acquisition", "-5", "--maint-slope", "5",
@@ -296,12 +311,20 @@ def test_curve_rejects_infinite_horizon(capsys):
         ["finance", "present-value", "--annuity", "1", "--rate", "1e300", "--periods", "3"],
         ["finance", "capital-recovery", "--present", "1", "--rate", "1e3", "--periods", "200"],
         ["curve", *C4_3_FLAGS, "--t-max", "1e300", "--step", "1e-300"],
+        ["finance", "effective-rate", "--nominal", "0.1", "--periods", "1" + "0" * 400],
     ],
 )
 def test_a_number_past_the_float_range_exits_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "overflows the float range" in err
+
+
+def test_curve_refuses_a_grid_past_its_point_cap(capsys):
+    # 1e18 points: numpy would fail to allocate them with a traceback
+    code, out, err = run_cli(capsys, "curve", *C4_3_FLAGS, "--t-max", "1e15", "--step", "1e-3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "more than 1000000" in err
 
 
 def test_fleet_golden(tmp_path, capsys):

@@ -294,6 +294,8 @@ def test_curve_input_errors():
     for t_max, step in ((math.inf, 1.0), (math.nan, 1.0), (10.0, math.nan), (math.inf, math.inf)):
         with pytest.raises(ValueError, match="t_max < inf"):
             curve(INSTANCE_C1, t_max=t_max, step=step)
+    with pytest.raises(ValueError, match="1000001 points, more than 1000000"):
+        curve(INSTANCE_C1, t_max=1000.0, step=1e-3)
 
 
 @pytest.mark.parametrize(

@@ -73,6 +73,8 @@ def test_validation():
         (capital_recovery, (1.0, 1e3, 200)),
         (present_value, (1.0, 1e300, 3)),
         (effective_rate, (1e300, 2)),
+        (effective_rate, (0.1, 10**400)),
+        (CashFlowSeries(((1, 1.0),), 3, 1e300).equivalent_annuity, ()),
     ],
 )
 def test_growth_past_the_float_range_is_refused(function, args):

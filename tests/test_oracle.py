@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal
 import time
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from conftest import (
     INSTANCE_FLAT,
     draw_params,
     draw_wide_params,
+    reference_cost,
 )
 from econlife import (
     AssetParams,
@@ -605,3 +607,27 @@ def test_the_search_constants_are_read_only():
     ages = oracle._FIRST_AGES
     pieces = cost_pieces(INSTANCE_C5, ages)
     assert all(piece.tobytes() == fresh.tobytes() for piece, fresh in zip(pieces, cost_pieces(INSTANCE_C5, ages.copy())))
+
+
+# Closed forms whose min_cost is wrong by 4.6e-13 to 3.6e-10 relative, from
+# the D = 100 and D = 300 log-uniform fuzz: (case, error, params).
+WRONG_BY_MORE_THAN_VALUE_RTOL = [
+    ("C4_3", 4.4e-11, AssetParams(2.071376838017328e-68, 3.954377045383405e+65, 7.69263640987786e+94, 5.545728013343716e-91)),
+    ("C4_3", 1.2e-12, AssetParams(2.6655552992895537e-61, 2.1741663346207874e+73, 8.93952432781844e+22, 1.260189149558117e-90)),
+    ("C5", 3.3e-10, AssetParams(4.7599925448775195e+132, 1.8885211251412054e-206, 3.5638502402060624e+119, 2.174426988269029e-224)),
+    ("C5", 3.6e-10, AssetParams(2.625060138816479e+68, 6.726651860195885e-141, 3.3563582694996526e+299, 2.5916854683555718e-192)),
+    ("C4_3", 3.0e-12, AssetParams(5.823306171476541e+143, 5.837549607961526e-19, 2.3176422419473015e+93, 3.2677294215963695e-229)),
+    ("C4_3", 5.1e-13, AssetParams(8.688502589675105e+66, 1.0453644976306828e+223, 3.411258998997453e+290, 1.457602517735338e-78)),
+    ("C4_3", 4.6e-13, AssetParams(4.968064929084604e+78, 2.0082251160530074e+41, 5.6232303303865104e+75, 2.880392698122173e-175)),
+]
+
+
+@pytest.mark.parametrize("case, error, params", WRONG_BY_MORE_THAN_VALUE_RTOL)
+def test_a_cost_wrong_past_value_rtol_is_a_mismatch(case, error, params):
+    # The zoom closes within ZOOM_RTOL, so the search's least value is sharp
+    # enough to refute a min_cost wrong by more than VALUE_RTOL = 1e-13.
+    result = economic_life(params)
+    assert result.case.value == case
+    reference = reference_cost(params, result.minimizers.values[0])
+    assert float(abs(Decimal(result.min_cost) - reference) / reference) == pytest.approx(error, rel=0.1)
+    assert check_against_search(params, result).startswith("min cost mismatch")
