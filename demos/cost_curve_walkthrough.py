@@ -24,11 +24,8 @@ print(f"resale value hits zero at age {params.junction:g} years\n")
 
 print(f"{'age':>5} | {'capital':>9} | {'maintenance':>11} | {'total':>9}")
 print("-" * 45)
-for sample in curve(params, t_max=10.0, step=0.5):
-    print(
-        f"{sample.t:5.1f} | {sample.capital_cost:9.3f} | "
-        f"{sample.maintenance_cost:11.3f} | {sample.property_cost:9.3f}"
-    )
+for t, capital, maintenance, total in zip(*curve(params, t_max=10.0, step=0.5)):
+    print(f"{t:5.1f} | {capital:9.3f} | {maintenance:11.3f} | {total:9.3f}")
 
 result = economic_life(params)
 best = result.minimizers.values[0]
@@ -36,4 +33,4 @@ print("\ncapital falls with age, maintenance climbs; the sum dips once.")
 print(f"case {result.case.value}: replace after {best:.4f} years "
       f"at {result.min_cost:.3f} per year.")
 print("holding one year longer costs "
-      f"{curve(params, 10.0, best + 1.0)[-1].property_cost - result.min_cost:+.3f} per year.")
+      f"{curve(params, 10.0, best + 1.0).property_cost[-1] - result.min_cost:+.3f} per year.")

@@ -202,10 +202,7 @@ def _cmd_curve(args) -> int:
         age = economic_life(params).interior_minimum_age
         t_max = 2.0 * (params.junction if age is None else max(params.junction, age))
     step = args.step if args.step is not None else t_max / 500.0
-    rows = (
-        [_num(sample.t), _num(sample.capital_cost), _num(sample.maintenance_cost), _num(sample.property_cost)]
-        for sample in curve(params, t_max, step)
-    )
+    rows = (map(_num, row) for row in zip(*curve(params, t_max, step)))
     _write_csv(sys.stdout, ["t", "capital_cost", "maintenance_cost", "property_cost"], rows)
     return 0
 

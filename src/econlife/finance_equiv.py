@@ -37,8 +37,7 @@ class CashFlowSeries:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if not self.rate > 0.0:
-            raise ValueError("rate must be > 0")
+        _check_rate(self.rate)
         periods = [k for k, _ in self.deposits]
         if any(not (isinstance(k, int) and 1 <= k <= self.horizon) for k in periods):
             raise ValueError("deposit periods must be integers in [1, horizon]")
@@ -60,6 +59,15 @@ class CashFlowSeries:
         return self.future_value() * self.rate / _growth(self.rate, self.horizon)
 
 
+def _check_rate(rate: float, name: str = "rate", zero: bool = False) -> None:
+    """Refuse a rate that is not > 0 (>= 0 where ``zero`` allows 0): NaN
+    and -inf among them, and +inf, at which no formula here is finite."""
+    if not (rate >= 0.0 if zero else rate > 0.0):
+        raise ValueError(f"{name} must be {'>=' if zero else '>'} 0")
+    if rate == math.inf:
+        raise ValueError(f"{name} must be finite; got {rate!r}")
+
+
 def _growth(rate: float, periods: int) -> float:
     """(1 + rate)^periods - 1, via expm1/log1p: the direct difference
     cancels for tiny rates.  Raises ValueError for periods < 1 or where the
@@ -79,8 +87,7 @@ def future_value_of_annuity(annuity: float, rate: float, periods: int) -> float:
 
     Closed form annuity * ((1+i)^N - 1) / i of the geometric sum.
     """
-    if not rate > 0.0:
-        raise ValueError("rate must be > 0")
+    _check_rate(rate)
     return annuity * _growth(rate, periods) / rate
 
 
@@ -89,8 +96,7 @@ def capital_recovery(present: float, rate: float, periods: int) -> float:
 
     present * i (1+i)^N / ((1+i)^N - 1); the zero-interest limit is present/N.
     """
-    if rate < 0.0:
-        raise ValueError("rate must be >= 0")
+    _check_rate(rate, zero=True)
     growth_minus_one = _growth(rate, periods)  # checks periods, at rate 0 too
     if rate == 0.0:
         return present / periods
@@ -99,8 +105,7 @@ def capital_recovery(present: float, rate: float, periods: int) -> float:
 
 def present_value(annuity: float, rate: float, periods: int) -> float:
     """Present value of a level end-of-period payment; inverse of capital_recovery."""
-    if rate < 0.0:
-        raise ValueError("rate must be >= 0")
+    _check_rate(rate, zero=True)
     growth_minus_one = _growth(rate, periods)  # checks periods, at rate 0 too
     if rate == 0.0:
         return annuity * periods
@@ -109,8 +114,7 @@ def present_value(annuity: float, rate: float, periods: int) -> float:
 
 def effective_rate(nominal: float, periods_per_year: int) -> float:
     """Effective yearly rate of a nominal rate compounded M times a year."""
-    if not nominal > 0.0:
-        raise ValueError("nominal rate must be > 0")
+    _check_rate(nominal, "nominal rate")
     if periods_per_year < 1:
         raise ValueError("periods_per_year must be >= 1")
     try:
@@ -124,8 +128,11 @@ def continuous_effective_rate(nominal: float) -> float:
     """Limit of ``effective_rate`` as compounding becomes continuous: e**r - 1.
 
     With i defined this way the discount factors agree exactly:
-    e**(-r t) == (1 + i)**(-t).
+    e**(-r t) == (1 + i)**(-t).  Raises ValueError where e**r leaves the
+    float range.
     """
-    if not nominal > 0.0:
-        raise ValueError("nominal rate must be > 0")
-    return math.expm1(nominal)
+    _check_rate(nominal, "nominal rate")
+    try:
+        return math.expm1(nominal)
+    except OverflowError:
+        raise ValueError(f"e^nominal overflows the float range: nominal = {nominal!r}") from None

@@ -53,7 +53,7 @@ def w0(z: float) -> float:
     Returns
     -------
     The unique w >= -1 with ``w * exp(w) == z``.  Monotone increasing in z,
-    negative exactly for z < 0, and w0(-1/e) = -1.
+    negative exactly for z < 0, w0(-1/e) = -1 and w0(inf) = inf.
 
     Raises
     ------
@@ -73,6 +73,8 @@ def w0(z: float) -> float:
         if c <= 0.0:
             return -1.0
         return (_scaled_interior_age(c) - c) - 1.0
+    if z == math.inf:  # the limit; Halley's method would iterate on NaN
+        return z
 
     w = _initial_guess(z)
     for _ in range(_MAX_ITER):
@@ -112,10 +114,17 @@ def w0_series(z: float, n_terms: int) -> float:
 
 
 def w0_inverse(w: float) -> float:
-    """The inverse map ``w * exp(w)``, restricted to the branch w > -1."""
+    """The inverse map ``w * exp(w)``, restricted to the branch w > -1.
+
+    Raises ValueError where a finite w maps past the float range; inf maps
+    to inf.
+    """
     if not w > -1.0:
         raise ValueError(f"w0_inverse is the inverse of w0 only for w > -1; got w = {w!r}")
-    return w * math.exp(w)
+    z = w * math.exp(min(w, 709.0))  # e^709 is finite; w e^w is not past w0(max float) = 703.227
+    if z == math.inf and w < math.inf:
+        raise ValueError(f"w * exp(w) overflows the float range: w = {w!r}")
+    return z
 
 
 def _initial_guess(z: float) -> float:

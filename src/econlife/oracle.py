@@ -86,11 +86,10 @@ class MinimizationReport:
 
     argmin_points holds the best zoomed point of each tied basin outside the
     plateau, and brackets the span from the grid point before its grid index
-    to the one after, merged with its neighbours' where they overlap;
-    plateau is the span of value-tied grid points when the minimum is flat at
-    grid resolution, with an end of inf when the cost ties its minimum at
-    every larger age.  Every reported point attains min_value to within the
-    tie tolerance.  tail_start is the last age the scan evaluated short of
+    to the one after, one per point and never merged; plateau is the span of
+    value-tied grid points when the minimum is flat at grid resolution, with
+    an end of inf when the cost ties its minimum at every larger age.  Every
+    reported point attains min_value to within the tie tolerance.  tail_start is the last age the scan evaluated short of
     inf: past it the scan bounds the cost as one cell and cannot tell its
     ages apart.  refinements is the number of brackets zoomed: the candidate
     basins whose bracket's lower cost bound reaches the tie threshold.
@@ -123,7 +122,7 @@ def integrate_discounted_maintenance(params: AssetParams, t: float, tol: float =
     Independent of the closed-form antiderivative, which the tests compare
     against.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("integration age must be >= 0")
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
@@ -187,16 +186,11 @@ def brute_force_minimize(params: AssetParams) -> MinimizationReport:
     best_value = min(float(values.min(initial=math.inf)), h_min)
     tie_band = best_value + TIE_RTOL * abs(best_value)
 
-    points: list[float] = []
-    brackets: list[tuple[float, float]] = []
-    for lo, hi, location, value in zip(lows.tolist(), highs.tolist(), locations.tolist(), values.tolist()):
-        if value > tie_band or (plateau is not None and lo <= plateau[1] and plateau[0] <= hi):
-            continue  # not tied, or already represented by the plateau
-        if brackets and lo <= brackets[-1][1]:
-            brackets[-1] = (brackets[-1][0], hi)  # same basin reached from two candidate indices
-            continue
-        points.append(location)
-        brackets.append((lo, hi))
+    # The tied basins, but for those the plateau already represents.
+    keep = values <= tie_band
+    if plateau is not None:
+        keep &= (lows > plateau[1]) | (highs < plateau[0])
+    points, brackets = locations[keep].tolist(), list(zip(lows[keep].tolist(), highs[keep].tolist()))
     if not points:  # the plateau holds every tied basin: any tied point stands for it
         points, brackets = [argmin_age], [(argmin_age, argmin_age)]
     return MinimizationReport(

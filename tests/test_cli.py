@@ -676,3 +676,17 @@ def test_finance_invalid_input_exits_1(capsys):
         capsys, "finance", "effective-rate", "--nominal", "-1", "--periods", "12"
     )
     assert code == 1 and "nominal" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["capital-recovery", "--present", "100", "--rate", "nan", "--periods", "3"], "rate must be >= 0"),
+        (["present-value", "--annuity", "1", "--rate", "nan", "--periods", "3"], "rate must be >= 0"),
+        (["future-value", "--annuity", "1", "--rate", "inf", "--periods", "3"], "rate must be finite; got inf"),
+        (["effective-rate", "--nominal", "inf", "--periods", "12"], "nominal rate must be finite; got inf"),
+    ],
+)
+def test_finance_refuses_a_non_finite_rate(capsys, argv, message):
+    code, out, err = run_cli(capsys, "finance", *argv)
+    assert code == 1 and out == "" and err == f"error: {message}\n"

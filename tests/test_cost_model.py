@@ -21,6 +21,7 @@ from conftest import (
 )
 from econlife import (
     AssetParams,
+    CostSample,
     capital_cost,
     curve,
     maintenance,
@@ -274,16 +275,28 @@ def test_costs_reach_their_asymptotes_past_rate_age_700():
 
 def test_curve_grid_and_identity():
     samples = curve(INSTANCE_C1, t_max=10.0, step=1.0)
-    assert len(samples) == 11
-    assert [s.t for s in samples] == pytest.approx(list(range(11)))
-    for s in samples:
-        assert s.property_cost == s.capital_cost + s.maintenance_cost
+    assert type(samples) is CostSample
+    for column in samples:
+        assert type(column) is np.ndarray and column.dtype == float and column.shape == (11,)
+    assert samples.t.tolist() == pytest.approx(list(range(11)))
+    assert np.array_equal(samples.property_cost, samples.capital_cost + samples.maintenance_cost)
 
 
 def test_curve_maintenance_column_non_decreasing():
     samples = curve(AssetParams(100.0, 5.0, 20.0, 0.1), 20.0, 0.05)
-    f = [s.maintenance_cost for s in samples]
-    assert all(b >= a for a, b in zip(f, f[1:]))
+    assert np.all(np.diff(samples.maintenance_cost) >= 0)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [INSTANCE_C1, INSTANCE_C4_3, INSTANCE_FLAT, draw_wide_params(np.random.default_rng(29))],
+)
+def test_curve_columns_are_the_evaluators_on_its_grid(params):
+    # The grid path and the public evaluators share one kernel: bit for bit.
+    samples = curve(params, t_max=2.0 * params.junction, step=params.junction / 250.0)
+    assert np.array_equal(samples.capital_cost, capital_cost(params, samples.t))
+    assert np.array_equal(samples.maintenance_cost, maintenance_cost(params, samples.t))
+    assert np.array_equal(samples.property_cost, samples.capital_cost + samples.maintenance_cost)
 
 
 def test_curve_input_errors():

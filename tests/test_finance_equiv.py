@@ -75,11 +75,39 @@ def test_validation():
         (effective_rate, (1e300, 2)),
         (effective_rate, (0.1, 10**400)),
         (CashFlowSeries(((1, 1.0),), 3, 1e300).equivalent_annuity, ()),
+        (continuous_effective_rate, (1000.0,)),
     ],
 )
 def test_growth_past_the_float_range_is_refused(function, args):
     with pytest.raises(ValueError, match="overflows the float range"):
         function(*args)
+
+
+RATE_FUNCTIONS = [
+    (lambda rate: future_value_of_annuity(1.0, rate, 3), "rate must be > 0"),
+    (lambda rate: capital_recovery(100.0, rate, 3), "rate must be >= 0"),
+    (lambda rate: present_value(1.0, rate, 3), "rate must be >= 0"),
+    (lambda rate: effective_rate(rate, 12), "nominal rate must be > 0"),
+    (continuous_effective_rate, "nominal rate must be > 0"),
+    (lambda rate: CashFlowSeries(((1, 1.0),), 3, rate), "rate must be > 0"),
+]
+
+
+@pytest.mark.parametrize("function, below", RATE_FUNCTIONS)
+@pytest.mark.parametrize("rate", [math.nan, -math.inf, math.inf])
+def test_a_non_finite_rate_is_refused(function, below, rate):
+    # NaN and -inf lie outside the range; +inf makes no formula finite.
+    message = "must be finite; got inf" if rate == math.inf else f"^{below}$"
+    with pytest.raises(ValueError, match=message):
+        function(rate)
+
+
+@pytest.mark.parametrize("function, below", RATE_FUNCTIONS)
+def test_a_rate_below_the_range_is_refused(function, below):
+    # A negative rate everywhere; 0 where the rate must be positive.
+    for rate in (-0.1, 0.0) if below.endswith("> 0") else (-0.1,):
+        with pytest.raises(ValueError, match=f"^{below}$"):
+            function(rate)
 
 
 def test_effective_rate_values():

@@ -78,6 +78,18 @@ def test_inverse_values_and_domain():
         w0_inverse(-1.5)
 
 
+def test_w0_at_inf_is_its_limit():
+    assert w0(math.inf) == math.inf
+    assert w0(1e308) == pytest.approx(scipy_lambertw(1e308).real, rel=1e-15)
+    assert w0_inverse(math.inf) == math.inf
+
+
+@pytest.mark.parametrize("w", [703.3, 709.0, 800.0, 1e300])
+def test_inverse_past_the_float_range_is_refused(w):
+    with pytest.raises(ValueError, match="overflows the float range"):
+        w0_inverse(w)
+
+
 def test_domain_error_reports_argument():
     with pytest.raises(ValueError, match="-0.5"):
         w0(-0.5)

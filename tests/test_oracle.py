@@ -73,8 +73,9 @@ def test_integral_reaches_its_limit_at_huge_ages():
 
 
 def test_integral_validation():
-    with pytest.raises(ValueError):
-        integrate_discounted_maintenance(INSTANCE_C1, -1.0)
+    for t in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="integration age must be >= 0"):
+            integrate_discounted_maintenance(INSTANCE_C1, t)
     with pytest.raises(ValueError):
         integrate_discounted_maintenance(INSTANCE_C1, 1.0, tol=0.0)
 
@@ -195,6 +196,29 @@ def test_a_tie_claimed_as_one_point_misses_an_extra_minimizer(kept):
     result = economic_life(EXACT_TIE)
     one = dataclasses.replace(result, minimizers=type(result.minimizers).point(result.minimizers.values[kept]))
     assert check_against_search(EXACT_TIE, one).startswith("search found an extra minimizer at ")
+
+
+# Exact ties two and 1.5 grid steps apart: A = acquisition_threshold at
+# a = r = 1 and b = -expm1(-u), so C4_2 at ages 0 and u, with u = 2e-3 and
+# 1.5e-3.  Their brackets [0, 1e-3] and [1e-3, 3e-3] touch at one grid point.
+CLOSE_TIES = [
+    (AssetParams(1.9986673330667555e-06, 1.0, 0.001998001332666933, 1.0), 0.002),
+    (AssetParams(1.1244377108742348e-06, 1.0, 0.0014988755622891258, 1.0), 0.0015),
+]
+
+
+@pytest.mark.parametrize("params, age", CLOSE_TIES)
+def test_ties_whose_brackets_touch_are_reported_apart(params, age):
+    result = economic_life(params)
+    assert result.case.value == "C4_2" and result.minimizers.values == (0.0, age)
+    report = brute_force_minimize(params)
+    assert report.plateau is None
+    assert report.brackets == ((0.0, 0.001), (0.001, 0.003))
+    assert report.argmin_points == pytest.approx([0.0, age], abs=1e-9)
+    assert check_against_search(params, result) is None
+    for kept in (0.0, age):
+        one = dataclasses.replace(result, minimizers=MinimizerSet.point(kept))
+        assert check_against_search(params, one).startswith("search found an extra minimizer at ")
 
 
 def test_a_claim_in_the_right_bracket_whose_cost_does_not_tie_is_rejected():
