@@ -18,7 +18,7 @@ it), and the maintenance cost is scale a (q/r).  No piece divides by
 e^x - 1 near 0 or by r^2, so x = 0 (at t = 0, or where r t underflows)
 needs no special case.  All evaluators accept a scalar age or a numpy array
 of ages, from 0 to inf; from rate * age = 700 on, each cost equals its
-asymptote.
+asymptote.  A cost past the float range is inf, without a numpy warning.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ def _at_ages(t, flat):
     if arr.size and not arr.min() >= 0.0:
         bad = arr[np.isnan(arr) | (arr < 0.0)].flat[0]
         raise ValueError(f"age must be >= 0; got t = {bad!r}")
-    out = flat(arr.reshape(-1)).reshape(arr.shape)
+    with np.errstate(over="ignore"):  # a cost past the float range is inf
+        out = flat(arr.reshape(-1)).reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -154,8 +155,8 @@ def maintenance(params: AssetParams, t):
 def salvage(params: AssetParams, t):
     """Resale value at age t: linear decline to zero, then zero."""
     def flat(ages):
-        with np.errstate(over="ignore"):  # b t overflows only past the junction, where S = 0
-            resale = np.maximum(params.acquisition_cost - params.depreciation_rate * ages, 0.0)
+        # b t overflows only past the junction, where S = 0
+        resale = np.maximum(params.acquisition_cost - params.depreciation_rate * ages, 0.0)
         return np.where(ages < params.junction, resale, 0.0)
 
     return _at_ages(t, flat)
@@ -244,5 +245,6 @@ def curve(params: AssetParams, t_max: float, step: float) -> CostSample:
     if points > CURVE_MAX_POINTS:
         raise ValueError(f"curve grid t_max/step = {t_max!r}/{step!r} has {points} points, more than {CURVE_MAX_POINTS}")
     ages = np.arange(points, dtype=float) * step
-    g, f = _capital_and_maintenance(params, ages)
-    return CostSample(ages, g, f, g + f)
+    with np.errstate(over="ignore"):
+        g, f = _capital_and_maintenance(params, ages)
+        return CostSample(ages, g, f, g + f)

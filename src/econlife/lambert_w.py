@@ -1,11 +1,11 @@
 """Principal real branch of the Lambert W function.
 
 ``w0(z)`` solves ``w * exp(w) = z`` for the unique real ``w >= -1``, defined
-for ``z >= -1/e``.  Away from the branch point the evaluation refines a
-regime-specific starting guess (Maclaurin series near zero, iterated-log
-asymptotics for large arguments) by Halley's method, following the classical
-treatment in Corless, Gonnet, Hare, Jeffrey and Knuth, "On the Lambert W
-function", Adv. Comput. Math. 5 (1996).
+for ``z >= -1/e``.  From z = -0.3 on, the evaluation starts at log1p(z)
+and takes Halley steps on f(w) = w - z e^(-w), the equation w e^w = z
+divided by e^w, so that no term overflows even at the largest double; see
+Corless, Gonnet, Hare, Jeffrey and Knuth, "On the Lambert W function", Adv.
+Comput. Math. 5 (1996).
 
 Near the branch point W0 is solved from the replacement problem's cost
 ratio c: ``_scaled_interior_age(c) = 1 + c + W0(-e^(-1-c))`` starts from the
@@ -21,8 +21,8 @@ e^x - 1 - x = gap(-x).  Below |x| = 0.1 all of them, the interior age, both
 thresholds and the cost kernel, read one series, ``gap_series`` = gap(x)/x^2;
 above it they read ``gap_ratio`` = gap(x)/x in its direct form.
 
-No external special-function library is used; the residual ``w e^w - z`` is
-driven to a few ulp, which the test suite checks directly.
+No external special-function library is used; the test suite checks w0
+against SciPy's ``lambertw``, bisection and the inverse map.
 """
 
 import math
@@ -34,9 +34,10 @@ __all__ = ["BRANCH_POINT", "gap_ratio", "gap_series", "w0", "w0_series", "w0_inv
 #: Left edge of the real domain, -1/e.  w0(BRANCH_POINT) = -1.
 BRANCH_POINT = -1.0 / math.e
 
-_RTOL = 1e-15
-_MAX_ITER = 50
-_EPS = 2.0 ** -52
+# Halley's error cubes per step, so after a relative step below this the
+# remaining error is far below rounding.
+_HALLEY_RTOL = 1e-7
+_HALLEY_MAX_ITER = 10
 # Below this z, Halley in w degenerates as the derivative of w e^w vanishes at
 # the branch point, while W = (tau - c) - 1 <= -0.49 cancels nothing; c from
 # log(-z) carries less relative error than the offset 1 + e z would.
@@ -76,22 +77,17 @@ def w0(z: float) -> float:
     if z == math.inf:  # the limit; Halley's method would iterate on NaN
         return z
 
-    w = _initial_guess(z)
-    for _ in range(_MAX_ITER):
-        ew = math.exp(w)
-        residual = w * ew - z
-        # The computed residual cannot fall below rounding noise of z; once it
-        # does, w is as converged as the conditioning of w e^w allows.
-        if abs(residual) <= 4.0 * _EPS * abs(z):
-            return w
-        wp1 = w + 1.0
-        # Halley update for f(w) = w e^w - z:
-        #   w <- w - f / (f' - f f'' / (2 f')) with f' = e^w (1+w), f'' = e^w (2+w)
-        step = residual / (ew * wp1 - (w + 2.0) * residual / (2.0 * wp1))
+    # Halley's method on f(w) = w - z e^(-w), which is w e^w - z over e^w:
+    # with y = z e^(-w), f' = 1 + y and f'' = -y, and nothing overflows.
+    w = math.log1p(z)
+    for _ in range(_HALLEY_MAX_ITER):
+        y = z * math.exp(-w)
+        f, df = w - y, 1.0 + y
+        step = f * df / (df * df + 0.5 * f * y)
         w -= step
-        if abs(step) <= _RTOL * abs(w):
+        if abs(step) <= _HALLEY_RTOL * abs(w):
             return w
-    raise NumericError(f"Halley iteration for w0({z!r}) did not converge in {_MAX_ITER} steps")
+    raise NumericError(f"Halley iteration for w0({z!r}) did not converge in {_HALLEY_MAX_ITER} steps")
 
 
 def w0_series(z: float, n_terms: int) -> float:
@@ -127,17 +123,6 @@ def w0_inverse(w: float) -> float:
     return z
 
 
-def _initial_guess(z: float) -> float:
-    if z <= 0.30:
-        return w0_series(z, 8)
-    if z < 3.0:
-        # Crude interpolation between the series and asymptotic regimes.
-        return math.log1p(z)
-    lz = math.log(z)
-    llz = math.log(lz)
-    return lz - llz + llz / lz
-
-
 # Below this |x| the series to x^8 is exact to an ulp on either sign: its
 # first omitted term, x^9/11!, is under 6e-17 of gap(x)/x^2 ~ 1/2.  Above it
 # 1 + expm1(-x)/x loses at most 2.5e-15; a cutoff of 0.5 takes that to 5e-16
@@ -171,10 +156,6 @@ _BRANCH_SERIES_EXACT = 1e-3
 # From this cost ratio on W0's argument lies within e^-3 of 0, and
 # tau = 1 + c - e^(-1-c) + ... starts Halley closer than the series does.
 _LARGE_COST_RATIO = 2.0
-# Halley's error cubes per step, so after a relative step below this the
-# remaining error is far below rounding.
-_HALLEY_RTOL = 1e-7
-_HALLEY_MAX_ITER = 10
 
 
 def _scaled_interior_age(c: float) -> float:

@@ -20,6 +20,7 @@ budget, a message starting "verification inconclusive:".
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +63,10 @@ def _read_only(array):
 
 
 # Quadrature panels: 20-node Gauss-Legendre, their count doubled at most
-# _MAX_DOUBLINGS times.
+# _MAX_DOUBLINGS times, until two estimates agree within _QUADRATURE_RTOL.
 _GL_NODES, _GL_WEIGHTS = map(_read_only, np.polynomial.legendre.leggauss(20))
 _MAX_DOUBLINGS = 8
+_QUADRATURE_RTOL = 16.0 * np.finfo(float).eps
 # A scan cell wider than this many indices is split this many ways.
 _SPLIT = 64
 # The grid is linear up to index _LINEAR_END (10 y), then geometric with the
@@ -111,21 +113,20 @@ class ScanGaveUp(NumericError):
         self.least = least
 
 
-def integrate_discounted_maintenance(params: AssetParams, t: float, tol: float = 1e-10) -> float:
+def integrate_discounted_maintenance(params: AssetParams, t: float) -> float:
     """Discounted upkeep accumulated to age t, by Gauss-Legendre quadrature.
 
     Integrates maint_slope * s * e**(-rate*s) over [0, t] with 20-node
     Gauss-Legendre panels of equal width, at most 4 / rate wide to start,
-    doubling the panel count until two estimates agree to an
-    absolute-plus-relative tolerance ``tol``.  Past rate * s = 750 the
-    integrand is below the double range, so the panels end there.
+    doubling the panel count until two estimates agree at rounding level, to
+    16 units of 2^-52: the integrand is positive, so its sum cannot cancel.
+    Past rate * s = 750 the integrand is below the double range, so the
+    panels end there.
     Independent of the closed-form antiderivative, which the tests compare
     against.
     """
     if not t >= 0.0:
         raise ValueError("integration age must be >= 0")
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
     if t == 0.0:
         return 0.0
     a = params.maint_slope
@@ -137,7 +138,7 @@ def integrate_discounted_maintenance(params: AssetParams, t: float, tol: float =
         half = 0.5 * end / panels
         s = (2.0 * np.arange(panels) + 1.0)[:, None] * half + half * _GL_NODES
         estimate = half * float(np.sum((a * s * np.exp(-r * s)) @ _GL_WEIGHTS))
-        if previous is not None and abs(estimate - previous) <= tol * max(1.0, abs(estimate)):
+        if previous is not None and abs(estimate - previous) <= _QUADRATURE_RTOL * estimate:
             return estimate
         previous = estimate
         panels *= 2
@@ -146,6 +147,7 @@ def integrate_discounted_maintenance(params: AssetParams, t: float, tol: float =
     )
 
 
+@np.errstate(over="ignore")  # a cost past the float range is inf
 def brute_force_minimize(params: AssetParams) -> MinimizationReport:
     """Locate all global minimizers of the ownership cost on [0, inf].
 
@@ -369,7 +371,9 @@ def check_against_search(params: AssetParams, result) -> str | None:
     optimum past its start, and agrees with a claimed interval that ends in
     the scan's last cell.
     """
-    scale = max(abs(result.min_cost), 1e-300)
+    # Below the least normal double the cost model rounds by a few subnormal
+    # ulp, far inside the band.
+    scale = max(abs(result.min_cost), sys.float_info.min)
 
     def cost_mismatch(found: float) -> str:
         return f"min cost mismatch: closed form {result.min_cost!r} vs search {found!r}"

@@ -84,7 +84,7 @@ def test_criterion_03_closed_form_equals_definition():
                 if t == 0.0:
                     f = 0.0
                 else:
-                    integral = integrate_discounted_maintenance(p, t, tol=1e-12)
+                    integral = integrate_discounted_maintenance(p, t)
                     f = math.expm1(r) * math.exp(r * t) * integral / math.expm1(r * t)
                 assert abs(h - (g + f)) <= 1e-8 * abs(h)
 

@@ -140,6 +140,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cli_env():
+    """The environment for running the CLI in a subprocess from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_classify_text_golden(capsys):
     code, out, err = run_cli(capsys, "classify", *C4_3_FLAGS)
     assert code == 0 and err == ""
@@ -449,6 +456,16 @@ def test_fleet_verify_reaches_an_optimum_far_below_the_grid(tmp_path, capsys):
     assert out.splitlines()[1:] == ["x,C5,1.41421356237e-150,1.41421356237e-150,,2.43001746579e-150,"]
 
 
+def test_fleet_verify_where_costs_pass_the_float_range_writes_no_warning(tmp_path):
+    # numpy wrote two overflow RuntimeWarnings to stderr from the search's costs.
+    path = tmp_path / "fleet.csv"
+    path.write_text(FLEET_INPUT.splitlines(keepends=True)[0] + "y,1e308,1e308,1e300,1\n", encoding="utf-8")
+    argv = [sys.executable, "-m", "econlife.cli", "fleet", "--input", str(path), "--verify"]
+    done = subprocess.run(argv, cwd=ROOT, env=cli_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[1:] == ["y,C1,0,0,,1.71828184564e+308,"]
+
+
 def test_fleet_verify_inconclusive_is_not_a_failure(tmp_path, capsys, monkeypatch):
     # under a point budget too small for the search to finish, the row is
     # inconclusive, not failed
@@ -578,10 +595,8 @@ def test_a_numeric_failure_exits_2(capsys, monkeypatch):
 def test_a_closed_stdout_pipe_exits_0_quietly():
     # as `econlife curve ... | head -1`: the reader leaves after one line,
     # long before the 20,001 rows (about 1 MB) fit in the pipe
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "econlife.cli", "curve", *C4_3_FLAGS, "--t-max", "100", "--step", "0.005"]
-    with subprocess.Popen(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+    with subprocess.Popen(argv, cwd=ROOT, env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()

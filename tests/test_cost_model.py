@@ -386,6 +386,19 @@ def test_costs_stay_finite_at_a_subnormal_rate():
         assert [fn(p, t) for t in ages] == expected
 
 
+def test_a_cost_past_the_float_range_is_inf_without_a_warning():
+    # The suite turns a RuntimeWarning into an error.  Here a t and, past
+    # age 0, the property cost pass the largest double.
+    p = AssetParams(1e308, 1e308, 1e300, 1.0)
+    ages = np.array([0.0, 1.0, 1e10, math.inf])
+    assert maintenance(p, 1e10) == property_cost(p, 1e10) == math.inf
+    assert property_cost(p, ages)[1:].tolist() == [math.inf] * 3
+    for fn in (maintenance, salvage, capital_cost, maintenance_cost, property_cost):
+        assert fn(p, ages).tolist() == [fn(p, t) for t in ages.tolist()]
+    assert property_cost_derivative(p, 1e10) == 0.0
+    assert curve(p, 10.0, 1.0).property_cost[1:].tolist() == [math.inf] * 10
+
+
 @pytest.mark.parametrize(
     "ages, message",
     [
