@@ -2,7 +2,8 @@
 
 The classification returns minimizers in closed form without ever scanning
 the cost curve.  As an independent check, a single grid scan with zoom
-refinement locates the same minimizers using nothing but value comparisons.
+refinement locates the same minimizers from the cost's values and the signs
+of its slope.
 Near a smooth minimum the cost ties its least value over a band of ages, so
 the two paths' ages may part in the eighth digit while their costs agree.
 This script runs both paths side by side, including a deliberately nasty

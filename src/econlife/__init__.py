@@ -32,7 +32,6 @@ __all__ = [
     "capital_cost",
     "check_against_search",
     "curve",
-    "integrate_discounted_maintenance",
     "maintenance",
     "maintenance_cost",
     "property_cost",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -78,18 +77,18 @@ def _at_ages(t, flat):
     return float(out) if arr.ndim == 0 else out
 
 
-def _kernel(params: AssetParams, ages):
+def _kernel(params: AssetParams, ages, per_x=False):
     """The pieces every cost is built from, at the flat array ``ages``.
 
     With x = r t held at ``_HOLD`` and q = 1 - x/(e^x - 1), returns the
     capital piece D = c p, where c is the mean yearly loss of resale value
     (b up to the junction, A/t past it); p = 1 - q = x/(e^x - 1), in (0, 1];
-    and the maintenance piece m = a (q/r).  Below x = 0.1, where q cancels, p
-    and m come from h = gap(-x)/x^2 = ``gap_series(-x)``, whose terms are all
-    positive: e^x - 1 = x (1 + x h), so p = 1/(1 + x h) and m = t (a (q/x))
-    with q/x = h p.  x = 0 needs no special case, and m keeps its digits
-    where r t underflows.  Each is a fresh array that the caller may
-    overwrite.
+    and the maintenance piece m = a (q/r), or q/x itself if ``per_x``.
+    Below x = 0.1, where q cancels, p and m come from h = gap(-x)/x^2 =
+    ``gap_series(-x)``, whose terms are all positive: e^x - 1 = x (1 + x h),
+    so p = 1/(1 + x h) and m = t (a (q/x)) with q/x = h p.  x = 0 needs no
+    special case, and m keeps its digits where r t underflows.  Each is a
+    fresh array that the caller may overwrite.
     """
     a = params.maint_slope
     r = params.interest_rate
@@ -102,7 +101,9 @@ def _kernel(params: AssetParams, ages):
     with np.errstate(invalid="ignore", over="ignore"):
         m /= p
         np.divide(x, p, out=p)
-        if r * sys.float_info.max < 1.0:  # q/r can overflow where a q/r does not
+        if per_x:
+            m /= x
+        elif r * sys.float_info.max < 1.0:  # q/r can overflow where a q/r does not
             m *= a
             m /= r
         else:
@@ -114,7 +115,7 @@ def _kernel(params: AssetParams, ages):
             h = gap_series(-s)
             ps = 1.0 / (1.0 + s * h)
             h *= ps  # q/x
-            m[small] = ages[small] * (a * h)
+            m[small] = h if per_x else ages[small] * (a * h)
             p[small] = ps
     d = x  # x is spent
     d.fill(params.depreciation_rate)
@@ -139,6 +140,31 @@ def cost_of_pieces(params: AssetParams, capital, maintenance):
     total += params.acquisition_cost * params.interest_rate
     total *= math.expm1(params.interest_rate) / params.interest_rate
     return total
+
+
+def slope_pieces(params: AssetParams, ages):
+    """The rising and falling parts P and N of the cost's slope at flat ``ages``.
+
+    The slope is scale (P - N).  With q' = dq/dx = p (1 - q/x), positive and
+    falling from 1/2 at x = 0, P = a q', and N = b r q' up to the junction
+    and D (r + p/t) = (A/t)(1 - q)(r + (1 - q)/t) past it.  Both are
+    positive (N is 0 past the junction at age inf) and non-increasing in age
+    on either side of the junction, so on a cell [u, v] that does not span it
+    the slope lies between scale (P(v) - N(u)) and scale (P(u) - N(v)).
+    q' comes from the kernel's q/x, not from a q/r, which keeps no digits of
+    q at a subnormal a and overflows at a huge one.  Past rate * age = 700,
+    where the kernel holds x, q' is held too.
+    """
+    d, p, g = _kernel(params, ages, per_x=True)
+    g -= 1.0
+    g *= -p  # q' = p (1 - q/x)
+    rising = params.maint_slope * g
+    g *= params.depreciation_rate * params.interest_rate
+    past = (ages > params.junction).nonzero()[0]  # where D = (A/t) p
+    if past.size:
+        p = p[past]
+        g[past] = d[past] * (params.interest_rate + p / ages[past])
+    return rising, g
 
 
 def _capital_and_maintenance(params: AssetParams, ages):
@@ -196,11 +222,11 @@ def property_cost(params: AssetParams, t):
 def property_cost_derivative(params: AssetParams, t):
     """Slope of ``property_cost`` in age, for t > 0 and t != junction.
 
-    With q' = dq/dx = (x - q)/(e^x - 1), the slope is scale (a - b r) q'
-    below the junction, whose sign is exactly that of
-    (maint_slope - depreciation_rate * interest_rate), and
-    scale (a q' - (A/t)(1 - q)(r + (1 - q)/t)) past it.  Past rate * age = 700
-    the evaluated cost is constant and the slope is 0.
+    scale (P - N) from ``slope_pieces``: with q' = dq/dx = (x - q)/(e^x - 1),
+    scale (a - b r) q' below the junction, whose sign is that of
+    (maint_slope - depreciation_rate * interest_rate) and which is exactly 0
+    where a = b r, and scale (a q' - (A/t)(1 - q)(r + (1 - q)/t)) past it.
+    Past rate * age = 700 the evaluated cost is constant and the slope is 0.
     """
     def flat(ages):
         if np.any(ages <= 0.0):
@@ -210,19 +236,12 @@ def property_cost_derivative(params: AssetParams, t):
                 "derivative is one-sided at the full-depreciation age "
                 f"junction = {params.junction!r}"
             )
-        a = params.maint_slope
+        rising, falling = slope_pieces(params, ages)
+        rising -= falling
         r = params.interest_rate
-        # q/r from the kernel at unit slope: a q/r keeps no digits of it at a subnormal a
-        d, p, w = _kernel(replace(params, maint_slope=1.0), ages)
-        with np.errstate(invalid="ignore"):  # inf/inf at t = inf, zeroed below
-            dq = p * (1.0 - w / ages)  # (x - q)/(e^x - 1)
-        out = (a - params.depreciation_rate * r) * dq
-        past = ages > params.junction  # where D = (A/t)(1 - q)
-        p, t_past = p[past], ages[past]
-        out[past] = a * dq[past] - d[past] * (r + p / t_past)
-        out *= math.expm1(r) / r
-        out[r * ages > _HOLD] = 0.0
-        return out
+        rising *= math.expm1(r) / r
+        rising[r * ages > _HOLD] = 0.0
+        return rising
 
     return _at_ages(t, flat)
 

@@ -1,11 +1,11 @@
 """Independent numerical ground truth for the closed forms.
 
-Two derivative-free tools, deliberately ignorant of the classification
-machinery: Gauss-Legendre quadrature for the discounted-maintenance integral,
-and a branch-and-bound grid scan plus batched zoom refinement that locates
-the global minimizers of the ownership cost by value comparison alone.  Tests
-and the fleet ``--verify`` mode use these to cross-check the closed-form
-path; nothing here is consulted by that path.
+A branch-and-bound grid scan plus batched zoom refinement that locates the
+global minimizers of the ownership cost, deliberately ignorant of the
+classification machinery: it reads only the cost model, the cost, its two
+monotone pieces and the two monotone pieces of its slope.  Tests and the
+fleet ``--verify`` mode use it to cross-check the closed-form path; nothing
+here is consulted by that path.
 
 The scan's grid covers [0, inf] in finitely many points: GRID_STEP apart up
 to 10 years, then spaced a 10,000th of their age, so its last point, index
@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_model import AssetParams, cost_of_pieces, cost_pieces, property_cost
+from .cost_model import AssetParams, cost_of_pieces, cost_pieces, property_cost, slope_pieces
 from .errors import NumericError
 
 __all__ = [
     "MinimizationReport",
-    "integrate_discounted_maintenance",
     "brute_force_minimize",
     "check_against_search",
 ]
@@ -62,11 +61,6 @@ def _read_only(array):
     return array
 
 
-# Quadrature panels: 20-node Gauss-Legendre, their count doubled at most
-# _MAX_DOUBLINGS times, until two estimates agree within _QUADRATURE_RTOL.
-_GL_NODES, _GL_WEIGHTS = map(_read_only, np.polynomial.legendre.leggauss(20))
-_MAX_DOUBLINGS = 8
-_QUADRATURE_RTOL = 16.0 * np.finfo(float).eps
 # A scan cell wider than this many indices is split this many ways.
 _SPLIT = 64
 # The grid is linear up to index _LINEAR_END (10 y), then geometric with the
@@ -78,6 +72,12 @@ _LAST = _LINEAR_END + math.ceil(math.log(np.finfo(float).max / (_LINEAR_END * GR
 # Factors widening ``cost_of_pieces`` into the upper and lower cost bound of
 # a scan cell or candidate bracket: they cover the pieces' rounding.
 _BOUND_SLACK = _read_only(1.0 + np.array([[64.0], [-64.0]]) * np.finfo(float).eps)
+# Factors widening a piece of ``slope_pieces`` into bounds of its exact
+# value, where the piece and A are normal.  Error budget in eps = 2^-52:
+# e^x - 1 - x cancels 20-fold at x = 0.1, so q' = p (1 - q/x) is within 25,
+# P and N within 26 (8 past the junction); rounding x = r t adds up to x/2
+# <= 350 to q' and p.  A decimal reference finds at most 245, near x = 700.
+_SLOPE_SLACK = (1.0 + 1024.0 * np.finfo(float).eps, 1.0 - 1024.0 * np.finfo(float).eps)
 # Each zoom grid narrows a bracket 32-fold.
 _ZOOM_POINTS = 65
 
@@ -113,41 +113,6 @@ class ScanGaveUp(NumericError):
         self.least = least
 
 
-def integrate_discounted_maintenance(params: AssetParams, t: float) -> float:
-    """Discounted upkeep accumulated to age t, by Gauss-Legendre quadrature.
-
-    Integrates maint_slope * s * e**(-rate*s) over [0, t] with 20-node
-    Gauss-Legendre panels of equal width, at most 4 / rate wide to start,
-    doubling the panel count until two estimates agree at rounding level, to
-    16 units of 2^-52: the integrand is positive, so its sum cannot cancel.
-    Past rate * s = 750 the integrand is below the double range, so the
-    panels end there.
-    Independent of the closed-form antiderivative, which the tests compare
-    against.
-    """
-    if not t >= 0.0:
-        raise ValueError("integration age must be >= 0")
-    if t == 0.0:
-        return 0.0
-    a = params.maint_slope
-    r = params.interest_rate
-    end = min(float(t), 750.0 / r)
-    panels = max(1, math.ceil(r * end / 4.0))
-    previous = None
-    for _ in range(_MAX_DOUBLINGS + 1):
-        half = 0.5 * end / panels
-        s = (2.0 * np.arange(panels) + 1.0)[:, None] * half + half * _GL_NODES
-        estimate = half * float(np.sum((a * s * np.exp(-r * s)) @ _GL_WEIGHTS))
-        if previous is not None and abs(estimate - previous) <= _QUADRATURE_RTOL * estimate:
-            return estimate
-        previous = estimate
-        panels *= 2
-    raise NumericError(
-        f"quadrature on [0, {end!r}] did not converge after {_MAX_DOUBLINGS} panel doublings"
-    )
-
-
-@np.errstate(over="ignore")  # a cost past the float range is inf
 def brute_force_minimize(params: AssetParams) -> MinimizationReport:
     """Locate all global minimizers of the ownership cost on [0, inf].
 
@@ -155,16 +120,23 @@ def brute_force_minimize(params: AssetParams) -> MinimizationReport:
     candidate basins (grid local minima and age 0) it refines those whose
     bracket's lower cost bound, from the scan's pieces, reaches the tie
     threshold of the least grid value: together, by repeated 65-point zooms
-    of their brackets until their values tie.  It keeps the basins whose
-    refined values tie the best one within ``TIE_RTOL``, and reports the
-    number of brackets zoomed as ``refinements`` (0 where none can tie).  Runs
-    of >= 3 grid points value-tied with the minimum are reported as a
-    plateau: there the cost is flat at rounding level and no value comparison
-    can single out a point.  A run that reaches the last grid point ends at
-    inf.  Uses only value comparisons of the cost.  Raises ``ScanGaveUp``
-    when the scan gives up.
+    of their brackets (``_zoom``).  It keeps the basins whose refined values
+    tie the best one within ``TIE_RTOL``, and reports the number of brackets
+    zoomed as ``refinements`` (0 where none can tie).  Runs of >= 3 grid
+    points value-tied with the minimum are reported as a plateau: there the
+    cost is flat at rounding level and no value comparison can single out a
+    point.  A run that reaches the last grid point ends at inf.  Raises
+    ``ScanGaveUp`` when the scan gives up.
     """
-    indices, values, h_min, d, i = _scan(params)
+    return _search(params, ())[0]
+
+
+@np.errstate(over="ignore")  # a cost past the float range is inf
+def _search(params, claimed):
+    """``brute_force_minimize``'s report, and the costs at the ``claimed`` ages,
+    priced in the scan's first evaluation but not counted as scanned."""
+    first = cost_pieces(params, np.concatenate((_FIRST_AGES, claimed)) if claimed else _FIRST_AGES)
+    indices, values, h_min, d, i = _scan(params, first)
     threshold = h_min + TIE_RTOL * abs(h_min)
     argmin_index = int(indices[np.argmin(values)])
     start, end = max(_tied_runs(indices, values <= threshold), key=lambda run: run[1] - run[0])
@@ -198,7 +170,7 @@ def brute_force_minimize(params: AssetParams) -> MinimizationReport:
     return MinimizationReport(
         argmin_points=tuple(points), brackets=tuple(brackets), plateau=plateau, min_value=best_value,
         refinements=zoomed, tail_start=tail_start,
-    )
+    ), first[2][_FIRST_AGES.size :]
 
 
 def _ages(indices):
@@ -239,7 +211,7 @@ def _first_level():
 _FIRST_INDICES, _FIRST_AGES = map(_read_only, _first_level())
 
 
-def _scan(params):
+def _scan(params, first=None):
     """The grid points that can tie the cost's minimum, by branch and bound.
 
     A cell [lo, hi] of grid indices carries the pieces D and I of
@@ -263,9 +235,10 @@ def _scan(params):
     evaluated indices in increasing order, their costs, the least value,
     and the pieces D and I at those indices, from which
     ``brute_force_minimize`` bounds each candidate bracket: it zooms only
-    those that can tie, and counts them as refinements.
+    those that can tie, and counts them as refinements.  ``first`` is
+    ``cost_pieces`` at ``_FIRST_AGES`` and then at ages the scan ignores.
     """
-    d, i, h = cost_pieces(params, _FIRST_AGES)
+    d, i, h = (piece[: _FIRST_AGES.size] for piece in first or cost_pieces(params, _FIRST_AGES))
     indices, pieces, values = [_FIRST_INDICES], [(d, i)], [h]
     h_min, evaluated = float(h.min()), _FIRST_INDICES.size
     ends = np.array([_FIRST_INDICES, d, i], dtype=float)
@@ -328,16 +301,19 @@ def _zoom(params, lo, hi):
 
     Every level lays a ``_ZOOM_POINTS`` grid over each bracket still open,
     in one cost evaluation for all of them, and narrows it to the two
-    spacings around its best point, 1/32 of its width.  A bracket closes once
-    all its values tie its best within ``ZOOM_RTOL``: value comparison cannot
-    narrow it further.  So the final width follows the cost's own scale: an
-    optimum at 1e-150 y is reached, and a bracket rising from age 0 closes
-    long before subnormal ages.  The level count would narrow the widest
-    bracket below the least positive double, so every bracket closes.
+    spacings around its best point, 1/32 of its width (one, at an end).  A
+    bracket closes once all its values tie its best within ``ZOOM_RTOL``, so
+    the final width follows the cost's own scale: an optimum at 1e-150 y is
+    reached.  It closes too where its best point is an end and the slope
+    shows the cost monotone away from it across the end cell (``_monotone``),
+    which every later level would keep: a rise from age 0 takes one level.
+    The level count would narrow the widest bracket below the least positive
+    double, so every bracket closes.
     """
     fractions = np.arange(_ZOOM_POINTS) / (_ZOOM_POINTS - 1)
     best_ages, best_values = np.empty(len(lo)), np.empty(len(lo))
     rows = np.arange(len(lo))  # the brackets still open; lo and hi hold theirs
+    junction, normal_a = params.junction, params.acquisition_cost >= sys.float_info.min
     widest = max(float((hi - lo).max(initial=0.0)), math.ulp(0.0))
     levels = max(1, math.ceil((math.log(widest) - math.log(math.ulp(0.0))) / math.log((_ZOOM_POINTS - 1) / 2)))
     for _ in range(levels):
@@ -352,7 +328,29 @@ def _zoom(params, lo, hi):
         if not rows.size:
             break
         lo, hi = ages.take([flat - (best > 0), flat + (best < _ZOOM_POINTS - 1)])
+        if not {0, _ZOOM_POINTS - 1}.isdisjoint(best.tolist()):  # a best point at a grid end
+            # its end cell, if on one side of the junction; past it, N needs a normal A
+            ends = (best % (_ZOOM_POINTS - 1) == 0) & ((hi <= junction) | (lo > junction) & normal_a)
+            if ends.any():
+                ends[ends] = _monotone(params, lo[ends], hi[ends], best[ends] == 0)
+                rows, lo, hi = rows[~ends], lo[~ends], hi[~ends]
+                if not rows.size:
+                    break
     return best_ages, best_values
+
+
+def _monotone(params, u, v, rising):
+    """Whether the cost rises across each cell [u[k], v[k]] where ``rising``, and falls elsewhere.
+
+    On a cell on one side of the junction the slope lies between scale (P(v) - N(u))
+    and scale (P(u) - N(v)) (``slope_pieces``); each piece is widened by
+    ``_SLOPE_SLACK`` and taken as at least the least normal double.
+    """
+    pos, neg = slope_pieces(params, np.concatenate((u, v)))
+    n, tiny, (upper, lower) = u.size, sys.float_info.min, _SLOPE_SLACK
+    rises = pos[n:] * lower > np.maximum(neg[:n], tiny) * upper
+    falls = np.maximum(pos[:n], tiny) * upper < neg[n:] * lower
+    return np.where(rising, rises, falls)
 
 
 def check_against_search(params: AssetParams, result) -> str | None:
@@ -378,8 +376,9 @@ def check_against_search(params: AssetParams, result) -> str | None:
     def cost_mismatch(found: float) -> str:
         return f"min cost mismatch: closed form {result.min_cost!r} vs search {found!r}"
 
+    claimed = result.minimizers
     try:
-        report = brute_force_minimize(params)
+        report, costs = _search(params, claimed.values)
     except ScanGaveUp as exc:
         if result.min_cost - exc.least > VALUE_RTOL * scale:
             return cost_mismatch(exc.least)
@@ -388,7 +387,6 @@ def check_against_search(params: AssetParams, result) -> str | None:
         return cost_mismatch(report.min_value)
 
     plateau = report.plateau
-    claimed = result.minimizers
     if claimed.kind == "interval":
         if plateau is None:
             return "closed form claims an interval of minimizers; search found none"
@@ -406,7 +404,7 @@ def check_against_search(params: AssetParams, result) -> str | None:
         return None
 
     tie_band = report.min_value + TIE_RTOL * abs(report.min_value)
-    for point, cost in zip(claimed.values, property_cost(params, claimed.values)):
+    for point, cost in zip(claimed.values, costs):
         in_plateau = plateau is not None and (
             plateau[0] - _spacing(plateau[0]) <= point <= plateau[1] + _spacing(plateau[1])
         )

@@ -1,5 +1,6 @@
 """Shared fixtures and parameter strategies."""
 
+import functools
 import math
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from econlife import AssetParams
+from econlife import AssetParams, NumericError
 
 # Sampling ranges used for randomized checks: acquisition in [1, 1e4],
 # full-depreciation age in [0.1, 50] years, rate in [0.01, 1], maintenance
@@ -82,6 +83,65 @@ def reference_costs(params: AssetParams, t: float) -> tuple[Decimal, Decimal]:
         g = i_eff * (min(A, b * t) + resale * u) / u
         f = i_eff * a / (r * r) * v / u
         return g, f
+
+
+# Quadrature panels: 20-node Gauss-Legendre, their count doubled at most
+# _MAX_DOUBLINGS times, until two estimates agree within _QUADRATURE_RTOL.
+_MAX_DOUBLINGS = 8
+_QUADRATURE_RTOL = 16.0 * np.finfo(float).eps
+
+
+@functools.cache
+def _gauss_legendre():
+    """The 20 nodes and weights, read-only.
+
+    Made on first use, since ``bench/gen.py`` loads this file for
+    ``draw_params`` and numpy.polynomial would add 1.3 MB to that process,
+    whose resident size the benchmark's ``peak_rss_mb`` includes.
+    """
+    pair = np.polynomial.legendre.leggauss(20)
+    for array in pair:
+        array.setflags(write=False)
+    return pair
+
+
+def integrate_discounted_maintenance(params: AssetParams, t: float) -> float:
+    """Discounted upkeep accumulated to age t, by Gauss-Legendre quadrature.
+
+    Integrates maint_slope * s * e**(-rate*s) over [0, t] with 20-node
+    Gauss-Legendre panels of equal width, at most 4 / rate wide to start,
+    doubling the panel count until two estimates agree at rounding level, to
+    16 units of 2^-52: the integrand is positive, so its sum cannot cancel.
+    Past rate * s = 750 the integrand is below the double range, so the
+    panels end there.  An estimate past the double range is inf, and so is
+    the integral.
+    Independent of the closed-form antiderivative, which the tests compare
+    against.
+    """
+    if not t >= 0.0:
+        raise ValueError("integration age must be >= 0")
+    if t == 0.0:
+        return 0.0
+    a = params.maint_slope
+    r = params.interest_rate
+    end = min(float(t), 750.0 / r)
+    panels = max(1, math.ceil(r * end / 4.0))
+    nodes, weights = _gauss_legendre()
+    previous = None
+    for _ in range(_MAX_DOUBLINGS + 1):
+        half = 0.5 * end / panels
+        s = (2.0 * np.arange(panels) + 1.0)[:, None] * half + half * nodes
+        with np.errstate(over="ignore"):
+            estimate = half * float(np.sum((a * s * np.exp(-r * s)) @ weights))
+        if estimate == math.inf:
+            return estimate
+        if previous is not None and abs(estimate - previous) <= _QUADRATURE_RTOL * estimate:
+            return estimate
+        previous = estimate
+        panels *= 2
+    raise NumericError(
+        f"quadrature on [0, {end!r}] did not converge after {_MAX_DOUBLINGS} panel doublings"
+    )
 
 
 def reference_cost(params: AssetParams, t: float) -> Decimal:

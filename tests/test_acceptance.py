@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import draw_params
+from conftest import draw_params, integrate_discounted_maintenance
 from econlife import (
     AssetParams,
     CaseLabel,
@@ -24,7 +24,6 @@ from econlife import (
     capital_recovery,
     future_value_of_annuity,
     gap,
-    integrate_discounted_maintenance,
     interior_minimum_age,
     present_value,
     property_cost,

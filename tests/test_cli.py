@@ -229,7 +229,7 @@ def test_usage_errors_are_argparse_reports_with_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert len(econlife.__all__) == len(set(econlife.__all__)) == 32
+    assert len(econlife.__all__) == len(set(econlife.__all__)) == 31
 
 
 def test_classify_invalid_value_exits_1(capsys):

@@ -2,7 +2,7 @@ import math
 import re
 import sys
 import tracemalloc
-from decimal import Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -30,7 +30,9 @@ from econlife import (
     property_cost_derivative,
     salvage,
 )
-from econlife.cost_model import cost_of_pieces, cost_pieces
+from econlife import oracle
+from econlife.cost_model import cost_of_pieces, cost_pieces, slope_pieces
+from econlife.lambert_w import _GAP_SERIES_BELOW
 
 
 NAN, INF = float("nan"), float("inf")
@@ -456,3 +458,52 @@ def test_cost_pieces_bound_the_cost_on_every_cell(rng, draw):
             h = np.append(property_cost(p, rng.uniform(u, v, 16)), h_ends)
             assert np.all(lower <= h * slack), (p, u, v)
             assert np.all(h <= upper * slack), (p, u, v)
+
+
+def reference_slope_pieces(params: AssetParams, t: float) -> tuple[Decimal, Decimal]:
+    """P = a q' and N (b r q' up to the junction, (A/t) p (r + p/t) past it)
+    in decimal, with x = r t held at 700 as the cost model holds it."""
+    A, a, b, r = (Decimal(v) for v in (params.acquisition_cost, params.maint_slope,
+                                       params.depreciation_rate, params.interest_rate))
+    x = Decimal(700) if t == INF else min(r * Decimal(t), Decimal(700))
+    # e^x - 1 and 1 - p each lose -log10(x) digits
+    with localcontext(Context(prec=40 + 2 * max(0, -x.adjusted()), Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        p = x / (x.exp() - 1) if x else Decimal(1)
+        dq = p * (1 - (1 - p) / x) if x else Decimal(1) / 2
+        if t <= params.junction:
+            return a * dq, b * r * dq
+        return a * dq, Decimal(0) if t == INF else A / Decimal(t) * p * (r + p / Decimal(t))
+
+
+@pytest.mark.parametrize("acquisition", [40.0, 0.02], ids=["junction_2y", "junction_1e-3y"])
+@pytest.mark.parametrize("slope", [5.0, 1e-310, 1e308], ids=["a", "subnormal_a", "huge_a"])
+def test_slope_pieces_are_positive_and_fall_on_each_side_of_the_junction(acquisition, slope):
+    # The search reads the sign of the slope from these pieces, so each must
+    # lie within _SLOPE_SLACK of its exact value and never rise with age on
+    # either side of the junction: at age 0, at subnormal ages, on both sides
+    # of the series cutoff x = 0.1, at rate * age >= 700 and at inf.  q' is
+    # not read back from a q/r, which keeps no digits of q at a subnormal a.
+    params = AssetParams(acquisition, slope, 20.0, 0.1)
+    cut = _GAP_SERIES_BELOW / params.interest_rate
+    ages = np.array(sorted({0.0, 5e-324, 1e-315, 1e-300, 1e-6, 5e-4, 0.5, cut * (1.0 - 1e-3), cut * (1.0 + 1e-3),
+                            1.5, 2.5, 10.0, 6990.0, 7000.0, 1e5, 1e300, INF}))
+    rising, falling = slope_pieces(params, ages)
+    tiny, band = Decimal(sys.float_info.min), Decimal(oracle._SLOPE_SLACK[0] - 1.0)
+    for side in (ages <= params.junction, ages > params.junction):
+        for piece, k in ((rising, 0), (falling, 1)):
+            values = piece[side]
+            assert np.all(values >= 0.0) and np.all(np.diff(values) <= 0.0), (side, k)
+            for t, value in zip(ages[side].tolist(), values.tolist()):
+                exact = reference_slope_pieces(params, t)[k]
+                if exact >= tiny:
+                    assert value > 0.0 and abs(Decimal(value) - exact) <= band * exact, (t, k)
+    assert rising[0] == slope * 0.5 and falling[0] == 20.0 * 0.1 * 0.5
+
+
+def test_the_derivative_is_scale_times_the_slope_pieces():
+    # One formula serves the slope and the search's monotone test.
+    params = INSTANCE_C4_3
+    ages = np.array([1e-3, 0.5, 1.9, 2.1, 10.0, 100.0])
+    rising, falling = slope_pieces(params, ages)
+    scale = math.expm1(params.interest_rate) / params.interest_rate
+    assert property_cost_derivative(params, ages).tobytes() == ((rising - falling) * scale).tobytes()

@@ -13,8 +13,10 @@ from conftest import (
     INSTANCE_C4_3,
     INSTANCE_C5,
     INSTANCE_FLAT,
+    _gauss_legendre,
     draw_params,
     draw_wide_params,
+    integrate_discounted_maintenance,
     reference_cost,
 )
 from econlife import (
@@ -25,7 +27,6 @@ from econlife import (
     check_against_search,
     cost_model,
     economic_life,
-    integrate_discounted_maintenance,
     interior_minimum_age,
     maintenance_cost,
     oracle,
@@ -70,6 +71,13 @@ def test_integral_reaches_its_limit_at_huge_ages():
     limit = p.maint_slope / p.interest_rate**2
     for t in (1e4, 1e300, math.inf):
         assert integrate_discounted_maintenance(p, t) == pytest.approx(limit, rel=1e-12)
+
+
+@pytest.mark.parametrize("params, t", [(AssetParams(1.0, 1e300, 1.0, 1e-300), 1e300),
+                                       (AssetParams(1.0, 1e308, 1.0, 1e-10), 1e10)])
+def test_an_integral_past_the_float_range_is_inf(params, t):
+    # The estimates are inf, so no two of them can agree within a relative band.
+    assert integrate_discounted_maintenance(params, t) == math.inf
 
 
 def test_integral_validation():
@@ -514,9 +522,13 @@ def test_a_scan_that_gives_up_still_refutes_a_cost_it_undercuts(monkeypatch):
     # a claim the evaluated costs undercut is a mismatch.
     monkeypatch.setattr(oracle, "GRID_BUDGET", 200)
     result = economic_life(INSTANCE_C4_3)
-    assert check_against_search(INSTANCE_C4_3, result).startswith("verification inconclusive: ")
+    assert check_against_search(INSTANCE_C4_3, result) == (
+        "verification inconclusive: the scan needs more than 200 cost evaluations"
+    )
     wrong_cost = dataclasses.replace(result, min_cost=result.min_cost * 1.001)
-    assert check_against_search(INSTANCE_C4_3, wrong_cost).startswith("min cost mismatch")
+    assert check_against_search(INSTANCE_C4_3, wrong_cost) == (
+        "min cost mismatch: closed form 22.55757832051617 vs search 22.537315439025278"
+    )
 
 
 def test_a_tail_whose_costs_lie_far_below_the_grid_is_never_kept():
@@ -632,10 +644,78 @@ def test_the_first_evaluation_splits_both_finite_first_cells(monkeypatch):
     assert calls[0] is oracle._FIRST_AGES
 
 
+# Reports of the parent commit, which zoomed a bracket rising from age 0
+# until its values tied: the monotone end cell closes it at the same point.
+RISING_FROM_AGE_0 = oracle.MinimizationReport(
+    argmin_points=(0.0,), brackets=((0.0, 0.001),), plateau=None, min_value=31.55127542269429,
+    refinements=1, tail_start=632181.8599623217,
+)
+
+
+@pytest.mark.parametrize("params", [INSTANCE_C1, INSTANCE_C4_1], ids=["C1", "C4_1"])
+def test_a_rise_from_age_0_closes_after_one_zoom_evaluation(monkeypatch, params):
+    # The cost rises from age 0, so the zoom's best point is the left end of
+    # [0, 1e-3 y] and its slope pieces show the cost rising across the first
+    # cell: one zoom evaluation, one slope evaluation of its two ends.  The
+    # claim is priced in the scan's first evaluation, after its grid.
+    zooms, slopes, pieces = [], [], []
+
+    def counting(calls, fn):
+        def wrapper(p, ages):
+            calls.append(np.size(ages))
+            return fn(p, ages)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "property_cost", counting(zooms, property_cost))
+    monkeypatch.setattr(oracle, "slope_pieces", counting(slopes, oracle.slope_pieces))
+    monkeypatch.setattr(oracle, "cost_pieces", counting(pieces, cost_pieces))
+    result = economic_life(params)
+    assert check_against_search(params, result) is None
+    assert zooms == [oracle._ZOOM_POINTS] and slopes == [2]
+    assert pieces[0] == oracle._FIRST_AGES.size + len(result.minimizers.values)
+    assert brute_force_minimize(params) == RISING_FROM_AGE_0
+
+
+def test_a_cell_whose_slope_may_take_either_sign_does_not_close():
+    # Around EXACT_TIE's interior optimum the slope changes sign, and where
+    # a == b r exactly (INSTANCE_FLAT) it is 0 up to the junction: neither
+    # rises nor falls.  Away from its optimum a cell of INSTANCE_C5
+    # (a < b r) falls and one of INSTANCE_C1 (a > b r) rises.
+    interior = economic_life(EXACT_TIE).minimizers.values[1]
+    assert INSTANCE_FLAT.maint_slope == INSTANCE_FLAT.depreciation_rate * INSTANCE_FLAT.interest_rate
+    for params, u, v in ((EXACT_TIE, interior - 1e-3, interior + 1e-3), (INSTANCE_FLAT, 0.0, 1e-3),
+                         (INSTANCE_FLAT, 1.0, 2.0)):
+        for rising in (True, False):
+            assert not oracle._monotone(params, np.array([u]), np.array([v]), np.array([rising]))[0]
+    for params, rising in ((INSTANCE_C5, False), (INSTANCE_C1, True)):
+        cell = np.array([1.0]), np.array([1.001])
+        assert oracle._monotone(params, *cell, np.array([rising])).tolist() == [True]
+        assert oracle._monotone(params, *cell, np.array([not rising])).tolist() == [False]
+    # the reports of the parent commit
+    assert brute_force_minimize(EXACT_TIE) == oracle.MinimizationReport(
+        argmin_points=(0.0, 5.108256189346313), brackets=((0.0, 0.001), (5.107, 5.109)), plateau=None,
+        min_value=26.8619999140173, refinements=2, tail_start=632181.8599623217,
+    )
+    assert brute_force_minimize(INSTANCE_FLAT) == oracle.MinimizationReport(
+        argmin_points=(11.98290417504527,), brackets=((11.98164689488342, 11.984043344078865),), plateau=None,
+        min_value=25.20506108275153, refinements=1, tail_start=632181.8599623217,
+    )
+
+
+@pytest.mark.parametrize("params", [INSTANCE_C4_3, EXACT_TIE, CLOSE_TIES[0][0]])
+def test_the_claim_is_priced_in_the_first_evaluation(params):
+    # The claimed ages' costs are those of property_cost, bit for bit, and
+    # pricing them leaves the report as it is.
+    claimed = economic_life(params).minimizers.values
+    report, costs = oracle._search(params, claimed)
+    assert costs.tobytes() == property_cost(params, np.array(claimed)).tobytes()
+    assert report == brute_force_minimize(params)
+
+
 def test_the_search_constants_are_read_only():
     # Every search shares them, so an in-place write raises instead of
     # changing every later search; cost_pieces reads a read-only age array.
-    for constant in (oracle._GL_NODES, oracle._GL_WEIGHTS, oracle._BOUND_SLACK,
+    for constant in (*_gauss_legendre(), oracle._BOUND_SLACK,
                      oracle._FIRST_INDICES, oracle._FIRST_AGES):
         assert not constant.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
