@@ -1,9 +1,9 @@
 """Cross-validate the closed-form economic life against blind search.
 
 The classification returns minimizers in closed form without ever scanning
-the cost curve.  As an independent check, a single grid scan with zoom
-refinement locates the same minimizers from the cost's values and the signs
-of its slope.
+the cost curve.  As an independent check, a branch-and-bound grid scan and
+its refinement locate the same minimizers from the cost's values and the
+bounds of its slope.
 Near a smooth minimum the cost ties its least value over a band of ages, so
 the two paths' ages may part in the eighth digit while their costs agree.
 This script runs both paths side by side, including a deliberately nasty

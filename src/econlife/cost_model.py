@@ -77,13 +77,13 @@ def _at_ages(t, flat):
     return float(out) if arr.ndim == 0 else out
 
 
-def _kernel(params: AssetParams, ages, per_x=False):
+def _kernel(params: AssetParams, ages, slopes=False):
     """The pieces every cost is built from, at the flat array ``ages``.
 
     With x = r t held at ``_HOLD`` and q = 1 - x/(e^x - 1), returns the
     capital piece D = c p, where c is the mean yearly loss of resale value
     (b up to the junction, A/t past it); p = 1 - q = x/(e^x - 1), in (0, 1];
-    and the maintenance piece m = a (q/r), or q/x itself if ``per_x``.
+    the maintenance piece m = a (q/r); and q/x if ``slopes``, else None.
     Below x = 0.1, where q cancels, p and m come from h = gap(-x)/x^2 =
     ``gap_series(-x)``, whose terms are all positive: e^x - 1 = x (1 + x h),
     so p = 1/(1 + x h) and m = t (a (q/x)) with q/x = h p.  x = 0 needs no
@@ -101,9 +101,8 @@ def _kernel(params: AssetParams, ages, per_x=False):
     with np.errstate(invalid="ignore", over="ignore"):
         m /= p
         np.divide(x, p, out=p)
-        if per_x:
-            m /= x
-        elif r * sys.float_info.max < 1.0:  # q/r can overflow where a q/r does not
+        g = m / x if slopes else None
+        if r * sys.float_info.max < 1.0:  # q/r can overflow where a q/r does not
             m *= a
             m /= r
         else:
@@ -115,13 +114,15 @@ def _kernel(params: AssetParams, ages, per_x=False):
             h = gap_series(-s)
             ps = 1.0 / (1.0 + s * h)
             h *= ps  # q/x
-            m[small] = h if per_x else ages[small] * (a * h)
+            m[small] = ages[small] * (a * h)
             p[small] = ps
+            if slopes:
+                g[small] = h
     d = x  # x is spent
     d.fill(params.depreciation_rate)
     np.divide(params.acquisition_cost, ages, out=d, where=ages > params.junction)
     d *= p
-    return d, p, m
+    return d, p, m, g
 
 
 def cost_pieces(params: AssetParams, ages):
@@ -130,7 +131,7 @@ def cost_pieces(params: AssetParams, ages):
     D never rises with age and I never falls, so on a cell [u, v] of ages h
     lies between ``cost_of_pieces`` of D(v), I(u) and of D(u), I(v).
     """
-    d, _, m = _kernel(params, ages)
+    d, _, m, _ = _kernel(params, ages)
     return d, m, cost_of_pieces(params, d, m)
 
 
@@ -155,7 +156,13 @@ def slope_pieces(params: AssetParams, ages):
     q at a subnormal a and overflows at a huge one.  Past rate * age = 700,
     where the kernel holds x, q' is held too.
     """
-    d, p, g = _kernel(params, ages, per_x=True)
+    return cost_and_slope_pieces(params, ages)[3:]
+
+
+def cost_and_slope_pieces(params: AssetParams, ages):
+    """``cost_pieces`` and ``slope_pieces`` at flat ``ages``, from one pass
+    of the kernel: D, I, h, P and N, each as either function gives it."""
+    d, p, m, g = _kernel(params, ages, slopes=True)
     g -= 1.0
     g *= -p  # q' = p (1 - q/x)
     rising = params.maint_slope * g
@@ -164,12 +171,12 @@ def slope_pieces(params: AssetParams, ages):
     if past.size:
         p = p[past]
         g[past] = d[past] * (params.interest_rate + p / ages[past])
-    return rising, g
+    return d, m, cost_of_pieces(params, d, m), rising, g
 
 
 def _capital_and_maintenance(params: AssetParams, ages):
     """Capital and maintenance cost at the flat array ``ages``."""
-    d, _, m = _kernel(params, ages)
+    d, _, m, _ = _kernel(params, ages)
     return cost_of_pieces(params, d, 0.0), math.expm1(params.interest_rate) / params.interest_rate * m
 
 

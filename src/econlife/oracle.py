@@ -1,20 +1,23 @@
 """Independent numerical ground truth for the closed forms.
 
-A branch-and-bound grid scan plus batched zoom refinement that locates the
-global minimizers of the ownership cost, deliberately ignorant of the
-classification machinery: it reads only the cost model, the cost, its two
-monotone pieces and the two monotone pieces of its slope.  Tests and the
-fleet ``--verify`` mode use it to cross-check the closed-form path; nothing
-here is consulted by that path.
+A branch-and-bound search that locates the global minimizers of the
+ownership cost, deliberately ignorant of the classification machinery: it
+reads only the cost model, the cost, its two monotone pieces and the two
+monotone pieces of its slope.  Tests and the fleet ``--verify`` mode use it
+to cross-check the closed-form path; nothing here is consulted by that path.
 
-The scan's grid covers [0, inf] in finitely many points: GRID_STEP apart up
-to 10 years, then spaced a 10,000th of their age, so its last point, index
-``_LAST`` near 7.1e6, lies at age inf, where the cost's pieces take their
-limits D = 0 and I = a/r.  Every cell, the last one too, is bounded from the
-pieces at its ends and dropped, kept or split, so the scan decides on the
-whole domain.  A check gives one of three verdicts: None (agreement), a
-description of the discrepancy, or, when the scan would pass its point
-budget, a message starting "verification inconclusive:".
+One step (``_branch_and_bound``) bounds cells, drops those that cannot tie,
+and splits the rest, first on a grid (``_scan``), then on continuous ages
+(``_refine``).  The grid covers [0, inf] in finitely many points: GRID_STEP
+apart up to 10 years, then spaced a 10,000th of their age, so its last
+point, index ``_LAST`` near 7.1e6, lies at age inf, where the cost's pieces
+take their limits D = 0 and I = a/r.  Every grid cell, the last one too, is
+bounded from the pieces at its ends, so the scan decides on the whole
+domain.  The grid brackets that can tie are then refined, as cells bounded
+by the slope, until each one's least value lies within ``ZOOM_RTOL`` of a
+lower bound of its cost.  A check gives one of three verdicts: None
+(agreement), a description of the discrepancy, or, when the scan would pass
+its point budget, a message starting "verification inconclusive:".
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_model import AssetParams, cost_of_pieces, cost_pieces, property_cost, slope_pieces
+from .cost_model import AssetParams, cost_and_slope_pieces, cost_of_pieces, cost_pieces
 from .errors import NumericError
 
 __all__ = [
@@ -36,12 +39,14 @@ __all__ = [
 
 #: Grid values within this relative band of the minimum count as tied.
 TIE_RTOL = 1e-12
-#: A zoom bracket closes once its values tie within this relative band.
+#: A refinement cell closes once its lower cost bound lies within this
+#: relative band of the least value found in its bracket.
 ZOOM_RTOL = 1e-14
 #: ``check_against_search`` tolerance for the minimum cost, relative.
-#: The error budget: the zoom leaves the least value within ``ZOOM_RTOL`` of
-#: its bracket's minimum, and the cost model is within 4e-15 of a decimal
-#: evaluation of the cash-flow definition (the bound of the tests'
+#: The error budget: the refinement leaves each bracket's least value within
+#: ``ZOOM_RTOL`` of a lower bound of its cost, one that rounds by a few eps,
+#: and the cost model is within 4e-15 of a decimal evaluation of the
+#: cash-flow definition (the bound of the tests'
 #: ``test_costs_match_the_cash_flow_definition``).  A closed form right to a few ulp
 #: therefore lies well inside 1e-13, so a mismatch at this band is a defect
 #: of the closed form, not a limit of the search.
@@ -61,7 +66,7 @@ def _read_only(array):
     return array
 
 
-# A scan cell wider than this many indices is split this many ways.
+# A cell that the search splits is split this many ways.
 _SPLIT = 64
 # The grid is linear up to index _LINEAR_END (10 y), then geometric with the
 # spacing continuous there, and its index _LAST is the first whose age
@@ -70,7 +75,7 @@ _LINEAR_END = 10_000
 _LOG_RATIO = math.log1p(1.0 / _LINEAR_END)
 _LAST = _LINEAR_END + math.ceil(math.log(np.finfo(float).max / (_LINEAR_END * GRID_STEP)) / _LOG_RATIO)
 # Factors widening ``cost_of_pieces`` into the upper and lower cost bound of
-# a scan cell or candidate bracket: they cover the pieces' rounding.
+# a cell or candidate bracket: they cover the pieces' rounding.
 _BOUND_SLACK = _read_only(1.0 + np.array([[64.0], [-64.0]]) * np.finfo(float).eps)
 # Factors widening a piece of ``slope_pieces`` into bounds of its exact
 # value, where the piece and A are normal.  Error budget in eps = 2^-52:
@@ -78,22 +83,21 @@ _BOUND_SLACK = _read_only(1.0 + np.array([[64.0], [-64.0]]) * np.finfo(float).ep
 # P and N within 26 (8 past the junction); rounding x = r t adds up to x/2
 # <= 350 to q' and p.  A decimal reference finds at most 245, near x = 700.
 _SLOPE_SLACK = (1.0 + 1024.0 * np.finfo(float).eps, 1.0 - 1024.0 * np.finfo(float).eps)
-# Each zoom grid narrows a bracket 32-fold.
-_ZOOM_POINTS = 65
 
 
 @dataclass(frozen=True)
 class MinimizationReport:
     """Outcome of a brute-force scan of the ownership cost.
 
-    argmin_points holds the best zoomed point of each tied basin outside the
-    plateau, and brackets the span from the grid point before its grid index
-    to the one after, one per point and never merged; plateau is the span of
-    value-tied grid points when the minimum is flat at grid resolution, with
-    an end of inf when the cost ties its minimum at every larger age.  Every
-    reported point attains min_value to within the tie tolerance.  tail_start is the last age the scan evaluated short of
-    inf: past it the scan bounds the cost as one cell and cannot tell its
-    ages apart.  refinements is the number of brackets zoomed: the candidate
+    argmin_points holds the least refined point of each tied basin outside
+    the plateau, and brackets the span from the grid point before its grid
+    index to the one after, one per point and never merged; plateau is the
+    span of value-tied grid points when the minimum is flat at grid
+    resolution, with an end of inf when the cost ties its minimum at every
+    larger age.  Every reported point attains min_value to within the tie
+    tolerance.  tail_start is the last age the scan evaluated short of inf:
+    past it the scan bounds the cost as one cell and cannot tell its ages
+    apart.  refinements is the number of brackets refined: the candidate
     basins whose bracket's lower cost bound reaches the tie threshold.
     """
 
@@ -119,13 +123,15 @@ def brute_force_minimize(params: AssetParams) -> MinimizationReport:
     Scans the whole grid once, by branch and bound (``_scan``).  Of the
     candidate basins (grid local minima and age 0) it refines those whose
     bracket's lower cost bound, from the scan's pieces, reaches the tie
-    threshold of the least grid value: together, by repeated 65-point zooms
-    of their brackets (``_zoom``).  It keeps the basins whose refined values
-    tie the best one within ``TIE_RTOL``, and reports the number of brackets
-    zoomed as ``refinements`` (0 where none can tie).  Runs of >= 3 grid
-    points value-tied with the minimum are reported as a plateau: there the
-    cost is flat at rounding level and no value comparison can single out a
-    point.  A run that reaches the last grid point ends at inf.  Raises
+    threshold of the least grid value: each on its own, by the same branch
+    and bound on continuous ages (``_refine``), until the least value found
+    in it lies within ``ZOOM_RTOL`` of a lower bound of its cost.  It
+    keeps the basins whose refined values tie the best one within
+    ``TIE_RTOL``, and reports the number of brackets refined as
+    ``refinements`` (0 where none can tie).  Runs of >= 3 grid points
+    value-tied with the minimum are reported as a plateau: there the cost is
+    flat at rounding level and no value comparison can single out a point.
+    A run that reaches the last grid point ends at inf.  Raises
     ``ScanGaveUp`` when the scan gives up.
     """
     return _search(params, ())[0]
@@ -143,19 +149,19 @@ def _search(params, claimed):
     # Age inf opens no bracket: its cost h(inf) is the grid's last value.
     basins = np.array(sorted((set(_basins(indices, values)) | {argmin_index}) - {_LAST}), dtype=np.int64)
     below, above = np.maximum(basins - 1, 0), np.minimum(basins + 1, _LAST - 1)
-    # Zoom only the brackets [below, above] that can tie.  D at the first
+    # Refine only the brackets [below, above] that can tie.  D at the first
     # evaluated index from `above` on and I at the last one up to `below`
     # bound their costs from below, as a scan cell's ends do, and the
     # threshold is at least the final tie band.
     pieces = d[np.searchsorted(indices, above)], i[np.searchsorted(indices, below, "right") - 1]
     reach = cost_of_pieces(params, *pieces) * _BOUND_SLACK[1] <= threshold
-    zoomed = int(reach.sum())
-    # The ages of the brackets' ends, then of the plateau's ends, the argmin and tail_start.
-    ages = _ages(np.concatenate((below[reach], above[reach], [start, end, argmin_index, indices[-2]])))
-    lows, highs = ages[:zoomed], ages[zoomed:-4]
+    refined = int(reach.sum())
+    # The brackets' low ends, basins and high ends, then the plateau's ends, the argmin and tail_start.
+    ages = _ages(np.concatenate((below[reach], basins[reach], above[reach], [start, end, argmin_index, indices[-2]])))
+    lows, highs = ages[:refined], ages[2 * refined : -4]
     start_age, end_age, argmin_age, tail_start = ages[-4:].tolist()
     plateau = (start_age, end_age) if end - start + 1 >= PLATEAU_MIN_POINTS else None
-    locations, values = _zoom(params, lows, highs) if zoomed else (lows, highs)
+    locations, values = np.array([_refine(params, ages[k::refined][:3]) for k in range(refined)]).reshape(-1, 2).T
 
     best_value = min(float(values.min(initial=math.inf)), h_min)
     tie_band = best_value + TIE_RTOL * abs(best_value)
@@ -169,7 +175,7 @@ def _search(params, claimed):
         points, brackets = [argmin_age], [(argmin_age, argmin_age)]
     return MinimizationReport(
         argmin_points=tuple(points), brackets=tuple(brackets), plateau=plateau, min_value=best_value,
-        refinements=zoomed, tail_start=tail_start,
+        refinements=refined, tail_start=tail_start,
     ), first[2][_FIRST_AGES.size :]
 
 
@@ -211,6 +217,37 @@ def _first_level():
 _FIRST_INDICES, _FIRST_AGES = map(_read_only, _first_level())
 
 
+def _pairs(edges):
+    """The cells between consecutive edges (columns of ``edges``, or rows of
+    them along its last axis): rows as in ``_branch_and_bound``."""
+    return np.concatenate((edges[..., :-1], edges[::-1, ..., 1:])).reshape(2 * len(edges), -1)
+
+
+def _branch_and_bound(cells, judge, grow):
+    """Settle ``cells`` by branch and bound.
+
+    A cell is a column of a float array whose rows mirror each other: the
+    position of its low end and values there, then the same values at its
+    high end in reverse order and that end's position.  Each step ``judge``s
+    the cells from bounds of their costs: which to keep and which of those
+    to split; it keeps the others whole.  ``grow`` takes the cells to split
+    and returns those it splits ``_SPLIT`` ways and the positions and values
+    at their inner cuts, one row each, cell after cell.  The parts replace
+    the cells they split, until no cell is left to split.
+    """
+    while True:
+        keep, split = judge(cells)
+        parts = cells.compress(split, axis=1)
+        if not parts.size:
+            return
+        parts, inner = grow(parts)
+        rows, count = len(parts) // 2, parts.shape[1]
+        inner = np.array(inner).reshape(rows, count, _SPLIT - 1)
+        # each cut's position and values, its parts' ends included
+        edges = np.concatenate((parts[:rows, :, None], inner, parts[: rows - 1 : -1, :, None]), axis=2)
+        cells = np.concatenate((cells.compress(keep ^ split, axis=1), _pairs(edges)), axis=1)  # split lies within keep
+
+
 def _scan(params, first=None):
     """The grid points that can tie the cost's minimum, by branch and bound.
 
@@ -218,61 +255,52 @@ def _scan(params, first=None):
     ``cost_pieces`` at both ends (at age inf, their limits D = 0 and
     I = a/r).  D never rises and I never falls, so each cost in a cell lies
     between the cost of D(hi) and I(lo) and that of D(lo) and I(hi).  The
-    cells are the columns of one float array with rows lo, D(lo), I(lo),
-    I(hi), D(hi), hi (indices lie below 2^53, so floats hold them exactly):
-    ``cost_of_pieces`` of rows 1:3 and rows 3:5, widened by
-    ``_BOUND_SLACK``, gives the upper and lower bounds.
+    cells have rows lo, D(lo), I(lo), I(hi), D(hi), hi (indices lie below
+    2^53, so floats hold them exactly): ``cost_of_pieces`` of rows 1:3 and
+    rows 3:5, widened by ``_BOUND_SLACK``, gives the upper and lower bounds.
     The first evaluation covers ``_first_level``: the finite cells
     [0, 10 y] and [10 y, 6.3e5 y], already split ``_SPLIT`` ways because
     nearly every row splits both, and the tail cell [6.3e5 y, inf] whole, to
     be judged like any other: a first split of [10 y, inf) would spend 63
-    of its points past 6e5 y.  Each level drops the cells whose lower bound
-    lies above the tie threshold of the least value so far and keeps those
-    whose upper bound does not; in one cost evaluation it fills in the
-    other cells of at most ``_SPLIT`` indices and splits the rest ``_SPLIT``
-    ways, until no cell is left to split.  Raises ``ScanGaveUp`` past
+    of its points past 6e5 y.  Each step of ``_branch_and_bound`` drops the
+    cells whose lower bound lies above the tie threshold of the least value
+    so far and keeps those whose upper bound does not; in one cost
+    evaluation it fills in the other cells of at most ``_SPLIT`` indices and
+    splits the rest ``_SPLIT`` ways.  Raises ``ScanGaveUp`` past
     ``GRID_BUDGET`` points, the first evaluation's included.  Returns the
     evaluated indices in increasing order, their costs, the least value,
     and the pieces D and I at those indices, from which
-    ``brute_force_minimize`` bounds each candidate bracket: it zooms only
-    those that can tie, and counts them as refinements.  ``first`` is
-    ``cost_pieces`` at ``_FIRST_AGES`` and then at ages the scan ignores.
+    ``brute_force_minimize`` bounds each candidate bracket: it refines only
+    those that can tie.  ``first`` is ``cost_pieces`` at ``_FIRST_AGES`` and
+    then at ages the scan ignores.
     """
     d, i, h = (piece[: _FIRST_AGES.size] for piece in first or cost_pieces(params, _FIRST_AGES))
-    indices, pieces, values = [_FIRST_INDICES], [(d, i)], [h]
+    found = [(_FIRST_INDICES, d, i, h)]  # each evaluation's indices, pieces and costs
     h_min, evaluated = float(h.min()), _FIRST_INDICES.size
-    ends = np.array([_FIRST_INDICES, d, i], dtype=float)
-    cells = np.concatenate((ends[:, :-1], ends[::-1, 1:]))
-    while True:
+
+    def judge(cells):
+        upper, lower = cost_of_pieces(params, cells[1:3], cells[3:5]) * _BOUND_SLACK
         threshold = h_min + TIE_RTOL * abs(h_min)
-        bounds = cost_of_pieces(params, cells[1:3], cells[3:5]) * _BOUND_SLACK
-        keep = bounds[1] <= threshold
-        split = keep & (bounds[0] > threshold)
-        parts = cells.compress(split, axis=1)
-        if not parts.size:
-            break
-        kept = cells.compress(keep ^ split, axis=1)  # split lies within keep
+        keep = lower <= threshold
+        return keep, keep & (upper > threshold)
+
+    def grow(parts):
+        nonlocal h_min, evaluated
         small = parts[5] - parts[0] <= _SPLIT
         inside = parts[0, :, None] + np.arange(1, _SPLIT)
         inside = inside[small[:, None] & (inside < parts[5, :, None])]
         cut = parts.compress(~small, axis=1)
-        edges = np.empty((3, cut.shape[1], _SPLIT + 1))  # index, D and I at each cut
-        edges[0] = _cuts(cut[0], cut[5])
-        new = np.concatenate((inside, edges[0, :, 1:-1]), axis=None)
+        new = np.concatenate((inside, _cuts(cut[0], cut[5])[:, 1:-1]), axis=None)
         evaluated += new.size
         if evaluated > GRID_BUDGET:
             raise ScanGaveUp(f"the scan needs more than {GRID_BUDGET} cost evaluations", h_min)
         d, i, h = cost_pieces(params, _ages(new))
-        indices.append(new)
-        pieces.append((d, i))
-        values.append(h)
+        found.append((new, d, i, h))
         h_min = min(h_min, float(h.min(initial=math.inf)))
-        edges[1:, :, 0], edges[1:, :, -1] = cut[1:3], cut[4:2:-1]
-        edges[1, :, 1:-1] = d[inside.size :].reshape(-1, _SPLIT - 1)
-        edges[2, :, 1:-1] = i[inside.size :].reshape(-1, _SPLIT - 1)
-        halves = np.concatenate((edges[:, :, :-1], edges[::-1, :, 1:])).reshape(6, -1)
-        cells = np.concatenate((kept, halves), axis=1)
-    indices, (d, i), values = np.concatenate(indices), np.concatenate(pieces, axis=1), np.concatenate(values)
+        return cut, (new[inside.size :], d[inside.size :], i[inside.size :])
+
+    _branch_and_bound(_pairs(np.array([_FIRST_INDICES, d, i], dtype=float)), judge, grow)
+    indices, d, i, values = map(np.concatenate, zip(*found))
     order = np.argsort(indices)
     return indices[order].astype(np.int64), values[order], h_min, d[order], i[order]
 
@@ -296,61 +324,64 @@ def _tied_runs(indices, tied):
     return list(zip(indices[edges[::2]].tolist(), indices[edges[1::2] - 1].tolist()))
 
 
-def _zoom(params, lo, hi):
-    """Best grid point and value in each bracket [lo[k], hi[k]]; lo and hi are left as given.
+def _refine(params, ages):
+    """The least cost found in a bracket, and its age.
 
-    Every level lays a ``_ZOOM_POINTS`` grid over each bracket still open,
-    in one cost evaluation for all of them, and narrows it to the two
-    spacings around its best point, 1/32 of its width (one, at an end).  A
-    bracket closes once all its values tie its best within ``ZOOM_RTOL``, so
-    the final width follows the cost's own scale: an optimum at 1e-150 y is
-    reached.  It closes too where its best point is an end and the slope
-    shows the cost monotone away from it across the end cell (``_monotone``),
-    which every later level would keep: a rise from age 0 takes one level.
-    The level count would narrow the widest bracket below the least positive
-    double, so every bracket closes.
+    ``ages`` holds the bracket's low end, its basin and its high end.  The
+    first evaluation splits the cells between them ``_SPLIT`` ways and, where
+    the bracket spans the full-depreciation age J, adds J and the double
+    after it; the cell between those two holds no other double.  On a cell
+    [u, v] on one side of J, the cost's slope lies between
+    scale (P(v) - N(u)) and scale (P(u) - N(v)) (``slope_pieces``, each
+    piece widened by ``_SLOPE_SLACK``, the two bounds by the least normal
+    double).  So the cost lies above the line from (u, h(u)) with the least
+    slope and the one from (v, h(v)) with the greatest, and a cell closes
+    once those lines stay within ``ZOOM_RTOL`` of the least value found in
+    the bracket across it: at once where the slope has one sign, and else
+    once the cell is narrow enough, since their gap shrinks with the square
+    of its width.  Past J at a subnormal A only the pieces' bound of
+    ``_scan`` holds.  ``_branch_and_bound`` splits the other cells
+    ``_SPLIT`` ways, geometrically where they span more than an octave, and
+    drops those with no double inside.  One kernel pass
+    (``cost_and_slope_pieces``) gives each point's cost and slope pieces; at
+    the bracket's grid points the cost pieces are the scan's, bit for bit.
     """
-    fractions = np.arange(_ZOOM_POINTS) / (_ZOOM_POINTS - 1)
-    best_ages, best_values = np.empty(len(lo)), np.empty(len(lo))
-    rows = np.arange(len(lo))  # the brackets still open; lo and hi hold theirs
-    junction, normal_a = params.junction, params.acquisition_cost >= sys.float_info.min
-    widest = max(float((hi - lo).max(initial=0.0)), math.ulp(0.0))
-    levels = max(1, math.ceil((math.log(widest) - math.log(math.ulp(0.0))) / math.log((_ZOOM_POINTS - 1) / 2)))
-    for _ in range(levels):
-        ages = lo[:, None] + (hi - lo)[:, None] * fractions
-        values = property_cost(params, ages)
-        best = values.argmin(axis=1)
-        flat = best + np.arange(0, values.size, _ZOOM_POINTS)  # into the flattened grids
-        least = values.take(flat)
-        best_ages[rows], best_values[rows] = ages.take(flat), least
-        still = values.max(axis=1) > least + ZOOM_RTOL * np.abs(least)
-        rows, flat, best = rows[still], flat[still], best[still]
-        if not rows.size:
-            break
-        lo, hi = ages.take([flat - (best > 0), flat + (best < _ZOOM_POINTS - 1)])
-        if not {0, _ZOOM_POINTS - 1}.isdisjoint(best.tolist()):  # a best point at a grid end
-            # its end cell, if on one side of the junction; past it, N needs a normal A
-            ends = (best % (_ZOOM_POINTS - 1) == 0) & ((hi <= junction) | (lo > junction) & normal_a)
-            if ends.any():
-                ends[ends] = _monotone(params, lo[ends], hi[ends], best[ends] == 0)
-                rows, lo, hi = rows[~ends], lo[~ends], hi[~ends]
-                if not rows.size:
-                    break
-    return best_ages, best_values
+    junction, tiny, (up, down) = params.junction, sys.float_info.min, _SLOPE_SLACK
+    ends = sorted({*ages.tolist()})  # the distinct ones of low end, basin and high end
+    # the cells between them, split _SPLIT ways
+    ages = np.interp(np.arange((len(ends) - 1) * _SPLIT + 1) / _SPLIT, np.arange(len(ends)), ends)
+    if ends[0] <= junction < ends[-1]:
+        ages = np.sort(np.append(ages, [junction, math.nextafter(junction, math.inf)]))
+    d, i, h, pos, neg = cost_and_slope_pieces(params, ages)
+    least, best = h.min(), ages[h.argmin()]
 
+    def judge(cells):  # rows u, D, I, P, N and cost at u, then the same at v in reverse order
+        threshold = least - ZOOM_RTOL * abs(least)
+        slopes = np.maximum(cells[3:5] * up - cells[7:9] * down, tiny)  # the greatest rise and fall, / scale
+        # The line from u stays above the threshold up to (h(u) - threshold) / (scale fall) past u, the
+        # one from v as far short of v: where the two spans cover the cell, the cost stays above it.
+        spans = ((np.fmin(cells[5:7], sys.float_info.max) - threshold) / slopes[::-1]).sum(axis=0)
+        split = spans < math.expm1(params.interest_rate) / params.interest_rate * (cells[-1] - cells[0])
+        if params.acquisition_cost < tiny:  # past J, N needs a normal A: there only the pieces bound the cost
+            split = np.where(cells[0] > junction, cost_of_pieces(params, cells[10], cells[2]) * _BOUND_SLACK[1] <= threshold, split)
+        return split, split
 
-def _monotone(params, u, v, rising):
-    """Whether the cost rises across each cell [u[k], v[k]] where ``rising``, and falls elsewhere.
+    def grow(parts):
+        nonlocal least, best
+        parts = parts.compress(np.nextafter(parts[0], math.inf) < parts[-1], axis=1)  # a double inside
+        u, v, fractions = parts[0, :, None], parts[-1, :, None], np.arange(1, _SPLIT) / _SPLIT
+        inner = u + (v - u) * fractions
+        if (v > 2.0 * u).any():  # cut geometrically where a cell spans more than an octave
+            with np.errstate(divide="ignore", invalid="ignore"):  # log 0 is -inf, unused
+                inner = np.where((u > 0.0) & (v > 2.0 * u), np.exp(np.log(u) + (np.log(v) - np.log(u)) * fractions), inner)
+        inner = inner.ravel()
+        d, i, h, pos, neg = cost_and_slope_pieces(params, inner)
+        if h.min(initial=math.inf) < least:
+            least, best = h.min(), inner[h.argmin()]
+        return parts, (inner, d, i, pos, neg, h)
 
-    On a cell on one side of the junction the slope lies between scale (P(v) - N(u))
-    and scale (P(u) - N(v)) (``slope_pieces``); each piece is widened by
-    ``_SLOPE_SLACK`` and taken as at least the least normal double.
-    """
-    pos, neg = slope_pieces(params, np.concatenate((u, v)))
-    n, tiny, (upper, lower) = u.size, sys.float_info.min, _SLOPE_SLACK
-    rises = pos[n:] * lower > np.maximum(neg[:n], tiny) * upper
-    falls = np.maximum(pos[:n], tiny) * upper < neg[n:] * lower
-    return np.where(rising, rises, falls)
+    _branch_and_bound(_pairs(np.array([ages, d, i, pos, neg, h])), judge, grow)
+    return float(best), float(least)
 
 
 def check_against_search(params: AssetParams, result) -> str | None:

@@ -132,7 +132,8 @@ def integrate_discounted_maintenance(params: AssetParams, t: float) -> float:
         half = 0.5 * end / panels
         s = (2.0 * np.arange(panels) + 1.0)[:, None] * half + half * nodes
         with np.errstate(over="ignore"):
-            estimate = half * float(np.sum((a * s * np.exp(-r * s)) @ weights))
+            # s e^(-r s) first: a s can overflow where e^(-r s) underflows
+            estimate = half * float(np.sum((a * (s * np.exp(-r * s))) @ weights))
         if estimate == math.inf:
             return estimate
         if previous is not None and abs(estimate - previous) <= _QUADRATURE_RTOL * estimate:

@@ -32,7 +32,7 @@ from econlife import (
     oracle,
     property_cost,
 )
-from econlife.cost_model import cost_pieces
+from econlife.cost_model import cost_and_slope_pieces, cost_pieces
 
 
 def discounted_maintenance_antiderivative(params, t):
@@ -78,6 +78,18 @@ def test_integral_reaches_its_limit_at_huge_ages():
 def test_an_integral_past_the_float_range_is_inf(params, t):
     # The estimates are inf, so no two of them can agree within a relative band.
     assert integrate_discounted_maintenance(params, t) == math.inf
+
+
+def test_an_integral_whose_integrand_passes_the_float_range_in_part_is_finite():
+    # a s passes the float range from s = 180 on, where e^(-r s) is still
+    # normal, and e^(-r s) underflows to 0 past s = 745: formed as
+    # (a s) e^(-r s), the integrand was inf, then inf 0 = NaN.
+    p, t = AssetParams(1.0, 1e306, 1.0, 1.0), 1e3
+    integral = integrate_discounted_maintenance(p, t)
+    assert math.isfinite(integral)
+    r = p.interest_rate
+    # e^(r t) / (e^(r t) - 1) = -1 / expm1(-r t), which stays in range
+    assert maintenance_cost(p, t) == pytest.approx(math.expm1(r) * integral / -math.expm1(-r * t), rel=1e-8)
 
 
 def test_integral_validation():
@@ -307,16 +319,14 @@ def test_check_against_search_work_is_bounded_past_the_horizon(monkeypatch):
             far.append(p)
     counted = [0]  # ages at which the oracle evaluates the cost or its pieces
 
-    def counting(params, t):
-        counted[0] += np.size(t)
-        return property_cost(params, t)
+    def counting(evaluate):
+        def wrapper(params, t):
+            counted[0] += np.size(t)
+            return evaluate(params, t)
+        return wrapper
 
-    def counting_pieces(params, t):
-        counted[0] += np.size(t)
-        return cost_pieces(params, t)
-
-    monkeypatch.setattr(oracle, "property_cost", counting)
-    monkeypatch.setattr(oracle, "cost_pieces", counting_pieces)
+    monkeypatch.setattr(oracle, "cost_and_slope_pieces", counting(cost_and_slope_pieces))
+    monkeypatch.setattr(oracle, "cost_pieces", counting(cost_pieces))
     for p in far:
         counted[0] = 0
         assert check_against_search(p, economic_life(p)) is None, p
@@ -377,9 +387,14 @@ def test_scan_is_split_invariant(monkeypatch, params, tied_tail):
         assert oracle._tied_runs(indices, scanned <= threshold) == whole_grid_runs
         reports.append(brute_force_minimize(params))
         assert (reports[-1].plateau is not None and reports[-1].plateau[1] == math.inf) == tied_tail
-    assert len({(report.plateau, report.min_value) for report in reports}) == 1
+    # The refinement splits its cells _SPLIT ways too, so its least values
+    # agree within the band it certifies them to.
+    assert len({report.plateau for report in reports}) == 1
+    assert all(abs(report.min_value - reports[-1].min_value) <= oracle.ZOOM_RTOL * h_min for report in reports)
     if reports[0].plateau is None:
-        assert reports[0].argmin_points == reports[1].argmin_points == reports[2].argmin_points
+        assert reports[0].brackets == reports[1].brackets == reports[2].brackets
+        for report in reports:
+            assert report.argmin_points == pytest.approx(reports[-1].argmin_points, rel=1e-6, abs=1e-9)
     else:  # any tied point may stand for a plateau that holds every refined basin
         assert all(reports[0].plateau[0] <= report.argmin_points[0] <= reports[0].plateau[1] for report in reports)
 
@@ -413,52 +428,59 @@ def test_the_scan_finishes_on_a_budget_of_exactly_its_points(monkeypatch, params
     assert sizes == calls[:-1]
 
 
-def test_zoom_refines_each_bracket_as_if_it_were_alone():
-    # One batched zoom narrows each bracket by its own values only, whatever
-    # the other brackets are, however wide, and however many levels they
-    # take to close.  The brackets are left as they were passed.
-    interior = economic_life(EXACT_TIE).minimizers.values[1]
-    lo = np.array([0.0, interior - 1e-3, 1.0, 7.5, 0.5 * interior, 3e5])
-    hi = np.array([1e-3, interior + 1e-3, 1e3, 7.5, 2.0 * interior, 1e300])
-    given = (lo.copy(), hi.copy())
-    together = oracle._zoom(EXACT_TIE, lo, hi)
-    assert np.array_equal(lo, given[0]) and np.array_equal(hi, given[1])
-    alone = [oracle._zoom(EXACT_TIE, lo[k : k + 1], hi[k : k + 1]) for k in range(lo.size)]
-    assert together[0].tobytes() == np.concatenate([ages for ages, _ in alone]).tobytes()
-    assert together[1].tobytes() == np.concatenate([values for _, values in alone]).tobytes()
+def recording_refinements(monkeypatch):
+    """The (ages, result) of every bracket the search refines, as it refines them."""
+    refine, refined = oracle._refine, []
+
+    def recording(params, ages):
+        refined.append((ages.copy(), refine(params, ages)))
+        return refined[-1][1]
+
+    monkeypatch.setattr(oracle, "_refine", recording)
+    return refine, refined
+
+
+def test_zoom_refines_each_bracket_as_if_it_were_alone(monkeypatch):
+    # Each of two tied basins is refined by its own values only, bit for
+    # bit as if it were the only bracket, and the report holds each one's
+    # least point and value.
+    refine, refined = recording_refinements(monkeypatch)
+    for params in (EXACT_TIE, CLOSE_TIES[0][0], CLOSE_TIES[1][0]):
+        refined.clear()
+        report = brute_force_minimize(params)
+        assert len(refined) == report.refinements == len(report.argmin_points) == 2
+        for (ages, together), point in zip(refined, report.argmin_points):
+            alone = refine(params, ages.copy())
+            assert np.array([alone]).tobytes() == np.array([together]).tobytes()
+            assert together[0] == point
+        assert report.min_value == min(value for _, (_, value) in refined)
 
 
 def test_the_zoom_skips_only_brackets_that_cannot_tie(monkeypatch):
     # Of the candidate brackets (around each strict local minimum of the
-    # scan's values and its argmin, and from age 0) the search zooms only
+    # scan's values and its argmin, and from age 0) the search refines only
     # those whose lower cost bound reaches the tie threshold.  Each one it
-    # skips, zoomed alone, stays above the report's tie band, and
-    # refinements counts the brackets zoomed.
-    zoom, zoomed = oracle._zoom, []
-
-    def recording(params, lo, hi):
-        zoomed.extend(zip(lo.tolist(), hi.tolist()))
-        return zoom(params, lo, hi)
-
-    monkeypatch.setattr(oracle, "_zoom", recording)
+    # skips, refined alone, stays above the report's tie band, and
+    # refinements counts the brackets refined.
+    refine, refined = recording_refinements(monkeypatch)
     rng = np.random.default_rng(20261019)
     instances = [INSTANCE_C1, INSTANCE_C4_1, INSTANCE_C4_3, INSTANCE_C5, INSTANCE_FLAT, EXACT_TIE,
                  FAR_TIED_TAIL, AssetParams(100.0, 1.6, 2.0, 0.8), AssetParams(1e6, 1.0, 1.0, 1.0)]
     skipped = 0
     for p in instances + [draw_params(rng) for _ in range(200)]:
-        zoomed.clear()
+        refined.clear()
         report = brute_force_minimize(p)
-        assert report.refinements == len(zoomed)
+        assert report.refinements == len(refined)
         indices, values = oracle._scan(p)[:2]
         basins = set(oracle._basins(indices, values)) | {int(indices[np.argmin(values)])}
         candidates = np.array(sorted(basins - {oracle._LAST}))
-        lows = oracle._ages(np.maximum(candidates - 1, 0)).tolist()
-        highs = oracle._ages(np.minimum(candidates + 1, oracle._LAST - 1)).tolist()
-        assert set(zoomed) <= set(zip(lows, highs))
+        grid = np.stack((np.maximum(candidates - 1, 0), candidates, np.minimum(candidates + 1, oracle._LAST - 1)), axis=1)
+        brackets = {tuple(ages) for ages in oracle._ages(grid).tolist()}
+        assert {tuple(ages.tolist()) for ages, _ in refined} <= brackets
         tie_band = report.min_value + oracle.TIE_RTOL * abs(report.min_value)
-        for lo, hi in set(zip(lows, highs)) - set(zoomed):
+        for ages in brackets - {tuple(ages.tolist()) for ages, _ in refined}:
             skipped += 1
-            assert zoom(p, np.array([lo]), np.array([hi]))[1][0] > tie_band, (p, lo, hi)
+            assert refine(p, np.array(ages))[1] > tie_band, (p, ages)
     assert skipped > 100
 
 
@@ -599,22 +621,15 @@ def test_the_grid_runs_from_zero_to_inf():
 def test_age_inf_opens_no_zoom_bracket(monkeypatch):
     # Where the cost's least grid value is h(inf), as for the optimum at
     # 5.1e81 y, the last grid index, age inf, is the grid's argmin.  Its cost
-    # is the grid's own value there, so no zoom starts from it, nor reaches
-    # it from the index before.
-    zoom = oracle._zoom
-    brackets = []
-
-    def recording(params, lo, hi):
-        brackets.extend(zip(lo.tolist(), hi.tolist()))
-        return zoom(params, lo, hi)
-
-    monkeypatch.setattr(oracle, "_zoom", recording)
+    # is the grid's own value there, so no bracket starts from it, nor
+    # reaches it from the index before.
+    _, refined = recording_refinements(monkeypatch)
     far = AssetParams(1.4504029835243377e+30, 8.614985459036953e-58, 5520073410997.727, 3.0231032535690386e-06)
     assert brute_force_minimize(far).argmin_points == (math.inf,)
     for p in (INSTANCE_C1, INSTANCE_C5, FAR_TIED_TAIL, AssetParams(1e6, 1.0, 1.0, 1.0)):
         brute_force_minimize(p)
     last_finite = oracle._ages(np.array(oracle._LAST - 1))
-    assert brackets and all(lo < last_finite and hi <= last_finite for lo, hi in brackets)
+    assert refined and all(ages[0] < last_finite and ages[-1] <= last_finite for ages, _ in refined)
 
 
 def test_the_first_evaluation_splits_both_finite_first_cells(monkeypatch):
@@ -644,8 +659,28 @@ def test_the_first_evaluation_splits_both_finite_first_cells(monkeypatch):
     assert calls[0] is oracle._FIRST_AGES
 
 
-# Reports of the parent commit, which zoomed a bracket rising from age 0
-# until its values tied: the monotone end cell closes it at the same point.
+def counting_evaluations(monkeypatch):
+    """The sizes of the scan's first cost evaluation and of the search's evaluations after its scan."""
+    scan, first, after = oracle._scan, [], []
+
+    def scanning(params, pieces=None):
+        first.append(np.size(pieces[0]))
+        result = scan(params, pieces)
+        after.clear()
+        return result
+
+    def counting(evaluate):
+        def wrapper(params, ages):
+            after.append(np.size(ages))
+            return evaluate(params, ages)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "_scan", scanning)
+    monkeypatch.setattr(oracle, "cost_pieces", counting(cost_pieces))
+    monkeypatch.setattr(oracle, "cost_and_slope_pieces", counting(cost_and_slope_pieces))
+    return first, after
+
+
 RISING_FROM_AGE_0 = oracle.MinimizationReport(
     argmin_points=(0.0,), brackets=((0.0, 0.001),), plateau=None, min_value=31.55127542269429,
     refinements=1, tail_start=632181.8599623217,
@@ -654,52 +689,72 @@ RISING_FROM_AGE_0 = oracle.MinimizationReport(
 
 @pytest.mark.parametrize("params", [INSTANCE_C1, INSTANCE_C4_1], ids=["C1", "C4_1"])
 def test_a_rise_from_age_0_closes_after_one_zoom_evaluation(monkeypatch, params):
-    # The cost rises from age 0, so the zoom's best point is the left end of
-    # [0, 1e-3 y] and its slope pieces show the cost rising across the first
-    # cell: one zoom evaluation, one slope evaluation of its two ends.  The
-    # claim is priced in the scan's first evaluation, after its grid.
-    zooms, slopes, pieces = [], [], []
-
-    def counting(calls, fn):
-        def wrapper(p, ages):
-            calls.append(np.size(ages))
-            return fn(p, ages)
-        return wrapper
-
-    monkeypatch.setattr(oracle, "property_cost", counting(zooms, property_cost))
-    monkeypatch.setattr(oracle, "slope_pieces", counting(slopes, oracle.slope_pieces))
-    monkeypatch.setattr(oracle, "cost_pieces", counting(pieces, cost_pieces))
+    # The cost rises from age 0 and the slope's pieces show it rising on
+    # every cell of [0, 1e-3 y]: the bracket closes at age 0 in its first
+    # evaluation, which splits [0, 1e-3 y] _SPLIT ways, and no cell is split
+    # again.  The claim is priced in the scan's first evaluation, after its
+    # grid.  The report is the one the former 65-point zoom gave.
+    first, after = counting_evaluations(monkeypatch)
     result = economic_life(params)
     assert check_against_search(params, result) is None
-    assert zooms == [oracle._ZOOM_POINTS] and slopes == [2]
-    assert pieces[0] == oracle._FIRST_AGES.size + len(result.minimizers.values)
+    assert first == [oracle._FIRST_AGES.size + len(result.minimizers.values)]
+    assert after == [oracle._SPLIT + 1]
     assert brute_force_minimize(params) == RISING_FROM_AGE_0
 
 
-def test_a_cell_whose_slope_may_take_either_sign_does_not_close():
+def test_a_cell_whose_slope_may_take_either_sign_does_not_close(monkeypatch):
     # Around EXACT_TIE's interior optimum the slope changes sign, and where
-    # a == b r exactly (INSTANCE_FLAT) it is 0 up to the junction: neither
-    # rises nor falls.  Away from its optimum a cell of INSTANCE_C5
-    # (a < b r) falls and one of INSTANCE_C1 (a > b r) rises.
+    # a == b r exactly (INSTANCE_FLAT) it is 0 up to the junction: the cells
+    # of the first evaluation neither rise nor fall, so some are split again.
+    # Away from its optimum a cell of INSTANCE_C5 (a < b r) falls and one of
+    # INSTANCE_C1 (a > b r) rises: the first evaluation closes them.
+    _, after = counting_evaluations(monkeypatch)
     interior = economic_life(EXACT_TIE).minimizers.values[1]
     assert INSTANCE_FLAT.maint_slope == INSTANCE_FLAT.depreciation_rate * INSTANCE_FLAT.interest_rate
-    for params, u, v in ((EXACT_TIE, interior - 1e-3, interior + 1e-3), (INSTANCE_FLAT, 0.0, 1e-3),
-                         (INSTANCE_FLAT, 1.0, 2.0)):
-        for rising in (True, False):
-            assert not oracle._monotone(params, np.array([u]), np.array([v]), np.array([rising]))[0]
-    for params, rising in ((INSTANCE_C5, False), (INSTANCE_C1, True)):
-        cell = np.array([1.0]), np.array([1.001])
-        assert oracle._monotone(params, *cell, np.array([rising])).tolist() == [True]
-        assert oracle._monotone(params, *cell, np.array([not rising])).tolist() == [False]
-    # the reports of the parent commit
-    assert brute_force_minimize(EXACT_TIE) == oracle.MinimizationReport(
-        argmin_points=(0.0, 5.108256189346313), brackets=((0.0, 0.001), (5.107, 5.109)), plateau=None,
-        min_value=26.8619999140173, refinements=2, tail_start=632181.8599623217,
+    for params, ages, closes in ((EXACT_TIE, [interior - 1e-3, interior, interior + 1e-3], False),
+                                 (INSTANCE_FLAT, [0.0, 0.0, 1e-3], False), (INSTANCE_FLAT, [1.0, 1.5, 2.0], False),
+                                 (INSTANCE_C5, [1.0, 1.0005, 1.001], True), (INSTANCE_C1, [1.0, 1.0005, 1.001], True)):
+        after.clear()
+        age, value = oracle._refine(params, np.array(ages))
+        assert (len(after) == 1) == closes, (params, ages)
+        assert age == (ages[-1] if params is INSTANCE_C5 else ages[0]) or not closes
+    # The reports, pinned: their least values lie within ZOOM_RTOL of those
+    # the former 65-point zoom found, 26.8619999140173 and 25.20506108275153.
+    exact_tie = brute_force_minimize(EXACT_TIE)
+    assert exact_tie == oracle.MinimizationReport(
+        argmin_points=(0.0, 5.10825634765625), brackets=((0.0, 0.001), (5.107, 5.109)), plateau=None,
+        min_value=26.861999914017304, refinements=2, tail_start=632181.8599623217,
     )
-    assert brute_force_minimize(INSTANCE_FLAT) == oracle.MinimizationReport(
-        argmin_points=(11.98290417504527,), brackets=((11.98164689488342, 11.984043344078865),), plateau=None,
+    assert exact_tie.min_value == pytest.approx(26.8619999140173, rel=oracle.ZOOM_RTOL, abs=0.0)
+    flat = brute_force_minimize(INSTANCE_FLAT)
+    assert flat == oracle.MinimizationReport(
+        argmin_points=(11.982904447208336,), brackets=((11.98164689488342, 11.984043344078865),), plateau=None,
         min_value=25.20506108275153, refinements=1, tail_start=632181.8599623217,
     )
+    assert flat.min_value == pytest.approx(25.20506108275153, rel=oracle.ZOOM_RTOL, abs=0.0)
+
+
+# Brackets [0, 1e-3 y] that hold the full-depreciation age, from a
+# log-uniform fuzz over 200 decades.  The cost rises from age 0 up to the junction at 4.8e-146 y
+# and on past it; past the junction at 7.6e-31 y it falls to an optimum at
+# 8.7e-28 y.  The former 65-point zoom took 79 and 20 evaluations.
+JUNCTION_IN_THE_FIRST_CELL = [
+    AssetParams(3.627293839304786e-140, 1.5823129719984644e+228, 749007.076827202, 1.3966060201519761e-46),
+    AssetParams(1.0449447321850678e+25, 2.7717891723377928e+79, 1.3713175971489063e+55, 3.31679781812039e-78),
+]
+
+
+@pytest.mark.parametrize("params, evaluations", zip(JUNCTION_IN_THE_FIRST_CELL, [1, 6]), ids=["rises", "falls_past_it"])
+def test_a_bracket_that_holds_the_junction_is_cut_there(monkeypatch, params, evaluations):
+    # The bracket's first evaluation cuts it at the junction J and the
+    # double after it, so every cell lies on one side of J.  A rise on both
+    # sides closes there; an optimum past J takes geometric cuts down to it.
+    assert 0.0 < params.junction < 1e-3
+    _, after = counting_evaluations(monkeypatch)
+    result = economic_life(params)
+    assert check_against_search(params, result) is None
+    assert len(after) == evaluations and after[0] == oracle._SPLIT + 3
+    assert brute_force_minimize(params).min_value == pytest.approx(result.min_cost, rel=1e-15)
 
 
 @pytest.mark.parametrize("params", [INSTANCE_C4_3, EXACT_TIE, CLOSE_TIES[0][0]])
