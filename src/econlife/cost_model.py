@@ -143,8 +143,9 @@ def cost_of_pieces(params: AssetParams, capital, maintenance):
     return total
 
 
-def slope_pieces(params: AssetParams, ages):
-    """The rising and falling parts P and N of the cost's slope at flat ``ages``.
+def cost_and_slope_pieces(params: AssetParams, ages):
+    """``cost_pieces`` and the rising and falling parts P and N of the cost's
+    slope at flat ``ages``, from one pass of the kernel: D, I, h, P and N.
 
     The slope is scale (P - N).  With q' = dq/dx = p (1 - q/x), positive and
     falling from 1/2 at x = 0, P = a q', and N = b r q' up to the junction
@@ -156,12 +157,6 @@ def slope_pieces(params: AssetParams, ages):
     q at a subnormal a and overflows at a huge one.  Past rate * age = 700,
     where the kernel holds x, q' is held too.
     """
-    return cost_and_slope_pieces(params, ages)[3:]
-
-
-def cost_and_slope_pieces(params: AssetParams, ages):
-    """``cost_pieces`` and ``slope_pieces`` at flat ``ages``, from one pass
-    of the kernel: D, I, h, P and N, each as either function gives it."""
     d, p, m, g = _kernel(params, ages, slopes=True)
     g -= 1.0
     g *= -p  # q' = p (1 - q/x)
@@ -229,11 +224,14 @@ def property_cost(params: AssetParams, t):
 def property_cost_derivative(params: AssetParams, t):
     """Slope of ``property_cost`` in age, for t > 0 and t != junction.
 
-    scale (P - N) from ``slope_pieces``: with q' = dq/dx = (x - q)/(e^x - 1),
-    scale (a - b r) q' below the junction, whose sign is that of
-    (maint_slope - depreciation_rate * interest_rate) and which is exactly 0
-    where a = b r, and scale (a q' - (A/t)(1 - q)(r + (1 - q)/t)) past it.
-    Past rate * age = 700 the evaluated cost is constant and the slope is 0.
+    scale (P - N) from ``cost_and_slope_pieces``: with
+    q' = dq/dx = (x - q)/(e^x - 1), scale (a - b r) q' below the junction,
+    whose sign is that of (maint_slope - depreciation_rate * interest_rate)
+    and which is exactly 0 where a = b r, and
+    scale (a q' - (A/t)(1 - q)(r + (1 - q)/t)) past it.  Below the junction
+    P = a q' and N = (b r) q' can round to one double where a and b r differ
+    by an ulp or so; there the slope is scale (a - b r) (P/a).  Past
+    rate * age = 700 the evaluated cost is constant and the slope is 0.
     """
     def flat(ages):
         if np.any(ages <= 0.0):
@@ -243,9 +241,11 @@ def property_cost_derivative(params: AssetParams, t):
                 "derivative is one-sided at the full-depreciation age "
                 f"junction = {params.junction!r}"
             )
-        rising, falling = slope_pieces(params, ages)
+        rising, falling = cost_and_slope_pieces(params, ages)[3:]
+        tied = ((rising == falling) & (ages < params.junction)).nonzero()[0]
         rising -= falling
-        r = params.interest_rate
+        a, r = params.maint_slope, params.interest_rate
+        rising[tied] = (a - params.depreciation_rate * r) / a * falling[tied]  # P = N there
         rising *= math.expm1(r) / r
         rising[r * ages > _HOLD] = 0.0
         return rising

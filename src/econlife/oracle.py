@@ -44,7 +44,8 @@ TIE_RTOL = 1e-12
 ZOOM_RTOL = 1e-14
 #: ``check_against_search`` tolerance for the minimum cost, relative.
 #: The error budget: the refinement leaves each bracket's least value within
-#: ``ZOOM_RTOL`` of a lower bound of its cost, one that rounds by a few eps,
+#: ``ZOOM_RTOL`` of a lower bound of its cost (of the least normal double,
+#: where that value is subnormal, as this band is), one that rounds by a few eps,
 #: and the cost model is within 4e-15 of a decimal evaluation of the
 #: cash-flow definition (the bound of the tests'
 #: ``test_costs_match_the_cash_flow_definition``).  A closed form right to a few ulp
@@ -77,8 +78,8 @@ _LAST = _LINEAR_END + math.ceil(math.log(np.finfo(float).max / (_LINEAR_END * GR
 # Factors widening ``cost_of_pieces`` into the upper and lower cost bound of
 # a cell or candidate bracket: they cover the pieces' rounding.
 _BOUND_SLACK = _read_only(1.0 + np.array([[64.0], [-64.0]]) * np.finfo(float).eps)
-# Factors widening a piece of ``slope_pieces`` into bounds of its exact
-# value, where the piece and A are normal.  Error budget in eps = 2^-52:
+# Factors widening a slope piece of ``cost_and_slope_pieces`` into bounds of
+# its exact value, where the piece and A are normal.  Error budget in eps = 2^-52:
 # e^x - 1 - x cancels 20-fold at x = 0.1, so q' = p (1 - q/x) is within 25,
 # P and N within 26 (8 past the junction); rounding x = r t adds up to x/2
 # <= 350 to q' and p.  A decimal reference finds at most 245, near x = 700.
@@ -328,42 +329,41 @@ def _refine(params, ages):
     """The least cost found in a bracket, and its age.
 
     ``ages`` holds the bracket's low end, its basin and its high end.  The
-    first evaluation splits the cells between them ``_SPLIT`` ways and, where
-    the bracket spans the full-depreciation age J, adds J and the double
-    after it; the cell between those two holds no other double.  On a cell
-    [u, v] on one side of J, the cost's slope lies between
-    scale (P(v) - N(u)) and scale (P(u) - N(v)) (``slope_pieces``, each
-    piece widened by ``_SLOPE_SLACK``, the two bounds by the least normal
-    double).  So the cost lies above the line from (u, h(u)) with the least
-    slope and the one from (v, h(v)) with the greatest, and a cell closes
-    once those lines stay within ``ZOOM_RTOL`` of the least value found in
-    the bracket across it: at once where the slope has one sign, and else
-    once the cell is narrow enough, since their gap shrinks with the square
-    of its width.  Past J at a subnormal A only the pieces' bound of
-    ``_scan`` holds.  ``_branch_and_bound`` splits the other cells
-    ``_SPLIT`` ways, geometrically where they span more than an octave, and
-    drops those with no double inside.  One kernel pass
-    (``cost_and_slope_pieces``) gives each point's cost and slope pieces; at
-    the bracket's grid points the cost pieces are the scan's, bit for bit.
+    first evaluation reads those ages and, where the bracket spans the
+    full-depreciation age J, J and the double after it; the cell between
+    those two holds no other double.  On a cell [u, v] on one side of J, the
+    cost's slope lies between scale (P(v) - N(u)) and scale (P(u) - N(v))
+    (the slope pieces of ``cost_and_slope_pieces``, each widened by
+    ``_SLOPE_SLACK``, the two bounds by the least normal double).  So the
+    cost lies above the line from (u, h(u)) with the least slope and the one
+    from (v, h(v)) with the greatest, and a cell closes once those lines stay
+    within ``ZOOM_RTOL`` of the least value found in the bracket (of the
+    least normal double where that value is subnormal) across it: at once
+    where the slope has one sign, and else once the cell is narrow enough,
+    since their gap shrinks with the square of its width.  Where A is
+    subnormal, D past J can be too, and N then rounds by up to
+    2^-1072 (1 + 1/t) absolute: the slope bounds take that on, and a cell
+    also closes by the pieces' bound of ``_scan``.  ``_branch_and_bound``
+    splits the other cells ``_SPLIT`` ways, geometrically where they span
+    more than an octave, and drops those with no double inside.
     """
     junction, tiny, (up, down) = params.junction, sys.float_info.min, _SLOPE_SLACK
-    ends = sorted({*ages.tolist()})  # the distinct ones of low end, basin and high end
-    # the cells between them, split _SPLIT ways
-    ages = np.interp(np.arange((len(ends) - 1) * _SPLIT + 1) / _SPLIT, np.arange(len(ends)), ends)
-    if ends[0] <= junction < ends[-1]:
-        ages = np.sort(np.append(ages, [junction, math.nextafter(junction, math.inf)]))
+    cut = (junction, math.nextafter(junction, math.inf)) if ages[0] <= junction < ages[-1] else ()
+    ages = np.array(sorted({*ages.tolist(), *cut}))
     d, i, h, pos, neg = cost_and_slope_pieces(params, ages)
     least, best = h.min(), ages[h.argmin()]
 
     def judge(cells):  # rows u, D, I, P, N and cost at u, then the same at v in reverse order
-        threshold = least - ZOOM_RTOL * abs(least)
+        threshold = least - ZOOM_RTOL * max(abs(least), tiny)
         slopes = np.maximum(cells[3:5] * up - cells[7:9] * down, tiny)  # the greatest rise and fall, / scale
+        if params.acquisition_cost < tiny:  # N's rounding at v and at u, past J
+            slopes += np.divide(2.0**-1071, np.minimum(cells[[-1, 0]], 1.0), out=np.zeros_like(slopes), where=cells[0] > junction)
         # The line from u stays above the threshold up to (h(u) - threshold) / (scale fall) past u, the
         # one from v as far short of v: where the two spans cover the cell, the cost stays above it.
         spans = ((np.fmin(cells[5:7], sys.float_info.max) - threshold) / slopes[::-1]).sum(axis=0)
         split = spans < math.expm1(params.interest_rate) / params.interest_rate * (cells[-1] - cells[0])
-        if params.acquisition_cost < tiny:  # past J, N needs a normal A: there only the pieces bound the cost
-            split = np.where(cells[0] > junction, cost_of_pieces(params, cells[10], cells[2]) * _BOUND_SLACK[1] <= threshold, split)
+        if params.acquisition_cost < tiny:
+            split &= cost_of_pieces(params, cells[10], cells[2]) * _BOUND_SLACK[1] <= threshold
         return split, split
 
     def grow(parts):

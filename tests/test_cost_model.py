@@ -31,7 +31,7 @@ from econlife import (
     salvage,
 )
 from econlife import oracle
-from econlife.cost_model import cost_of_pieces, cost_pieces, slope_pieces
+from econlife.cost_model import cost_and_slope_pieces, cost_of_pieces, cost_pieces
 from econlife.lambert_w import _GAP_SERIES_BELOW
 
 
@@ -198,6 +198,28 @@ def test_derivative_sign_below_junction(p, u):
         assert d > 0.0
     elif p.maint_slope < speed:
         assert d < 0.0
+
+
+@pytest.mark.parametrize(
+    "p, u",
+    [
+        (AssetParams(457.0, 457.0, 602.1395537688517, 0.7589602728131565), 0.765625),
+        (AssetParams(457.0, 457.0, 522.2857142857143, 0.875), 0.75),
+    ],
+    ids=["a_above_b_r", "a_below_b_r"],
+)
+def test_derivative_sign_where_a_and_b_r_lie_an_ulp_apart(p, u):
+    # a q' and (b r) q' round to one double here, so P - N is 0 although
+    # a and b r differ by an ulp of a; the slope keeps the sign of a - b r.
+    t = u * p.junction
+    gap = p.maint_slope - p.depreciation_rate * p.interest_rate
+    assert abs(gap) == math.ulp(p.maint_slope)
+    rising, falling = cost_and_slope_pieces(p, np.array([t]))[3:]
+    assert rising[0] == falling[0]
+    d = property_cost_derivative(p, t)
+    assert d != 0.0 and math.copysign(1.0, d) == math.copysign(1.0, gap)
+    scale = math.expm1(p.interest_rate) / p.interest_rate
+    assert d == pytest.approx(scale * gap * rising[0] / p.maint_slope, rel=1e-15)
 
 
 def test_derivative_exactly_zero_on_flat_segment():
@@ -487,7 +509,7 @@ def test_slope_pieces_are_positive_and_fall_on_each_side_of_the_junction(acquisi
     cut = _GAP_SERIES_BELOW / params.interest_rate
     ages = np.array(sorted({0.0, 5e-324, 1e-315, 1e-300, 1e-6, 5e-4, 0.5, cut * (1.0 - 1e-3), cut * (1.0 + 1e-3),
                             1.5, 2.5, 10.0, 6990.0, 7000.0, 1e5, 1e300, INF}))
-    rising, falling = slope_pieces(params, ages)
+    rising, falling = cost_and_slope_pieces(params, ages)[3:]
     tiny, band = Decimal(sys.float_info.min), Decimal(oracle._SLOPE_SLACK[0] - 1.0)
     for side in (ages <= params.junction, ages > params.junction):
         for piece, k in ((rising, 0), (falling, 1)):
@@ -504,6 +526,6 @@ def test_the_derivative_is_scale_times_the_slope_pieces():
     # One formula serves the slope and the search's monotone test.
     params = INSTANCE_C4_3
     ages = np.array([1e-3, 0.5, 1.9, 2.1, 10.0, 100.0])
-    rising, falling = slope_pieces(params, ages)
+    rising, falling = cost_and_slope_pieces(params, ages)[3:]
     scale = math.expm1(params.interest_rate) / params.interest_rate
     assert property_cost_derivative(params, ages).tobytes() == ((rising - falling) * scale).tobytes()
