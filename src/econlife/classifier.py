@@ -219,6 +219,13 @@ def acquisition_threshold(params: AssetParams) -> float:
     Equal to (a/r^2) gap(u) = (a/r^2)(u - q) > 0, with q = b r / a and u = -log1p(-q).
     Defined only when maint_slope > depreciation_rate * interest_rate (below
     that the comparison never arises); diverges as the two approach.
+
+    Its condition number in q is kappa = q^2 / ((1 - q)(u - q)): a relative
+    error e in q moves the threshold by about kappa e.  kappa tends to 2 as
+    q falls to 0 and grows without bound as q nears 1; at q = 0.9965
+    (u = 5.66) it is about 60, and the threshold there, 21.8 ulp from a
+    60-digit reference, loses its digits to the rounding of q = b r / a,
+    not to cancellation.
     """
     a = params.maint_slope
     b = params.depreciation_rate

@@ -144,8 +144,8 @@ def cost_of_pieces(params: AssetParams, capital, maintenance):
 
 
 def cost_and_slope_pieces(params: AssetParams, ages):
-    """``cost_pieces`` and the rising and falling parts P and N of the cost's
-    slope at flat ``ages``, from one pass of the kernel: D, I, h, P and N.
+    """The cost h and the rising and falling parts P and N of its slope at
+    flat ``ages``, from one pass of the kernel: h, P and N.
 
     The slope is scale (P - N).  With q' = dq/dx = p (1 - q/x), positive and
     falling from 1/2 at x = 0, P = a q', and N = b r q' up to the junction
@@ -166,7 +166,7 @@ def cost_and_slope_pieces(params: AssetParams, ages):
     if past.size:
         p = p[past]
         g[past] = d[past] * (params.interest_rate + p / ages[past])
-    return d, m, cost_of_pieces(params, d, m), rising, g
+    return cost_of_pieces(params, d, m), rising, g
 
 
 def _capital_and_maintenance(params: AssetParams, ages):
@@ -241,7 +241,7 @@ def property_cost_derivative(params: AssetParams, t):
                 "derivative is one-sided at the full-depreciation age "
                 f"junction = {params.junction!r}"
             )
-        rising, falling = cost_and_slope_pieces(params, ages)[3:]
+        rising, falling = cost_and_slope_pieces(params, ages)[1:]
         tied = ((rising == falling) & (ages < params.junction)).nonzero()[0]
         rising -= falling
         a, r = params.maint_slope, params.interest_rate

@@ -342,28 +342,26 @@ def _refine(params, ages):
     where the slope has one sign, and else once the cell is narrow enough,
     since their gap shrinks with the square of its width.  Where A is
     subnormal, D past J can be too, and N then rounds by up to
-    2^-1072 (1 + 1/t) absolute: the slope bounds take that on, and a cell
-    also closes by the pieces' bound of ``_scan``.  ``_branch_and_bound``
-    splits the other cells ``_SPLIT`` ways, geometrically where they span
-    more than an octave, and drops those with no double inside.
+    2^-1072 (1 + 1/t) absolute: the slope bounds take that on.
+    ``_branch_and_bound`` splits the other cells ``_SPLIT`` ways,
+    geometrically where they span more than an octave, and drops those with
+    no double inside.
     """
     junction, tiny, (up, down) = params.junction, sys.float_info.min, _SLOPE_SLACK
     cut = (junction, math.nextafter(junction, math.inf)) if ages[0] <= junction < ages[-1] else ()
     ages = np.array(sorted({*ages.tolist(), *cut}))
-    d, i, h, pos, neg = cost_and_slope_pieces(params, ages)
+    h, pos, neg = cost_and_slope_pieces(params, ages)
     least, best = h.min(), ages[h.argmin()]
 
-    def judge(cells):  # rows u, D, I, P, N and cost at u, then the same at v in reverse order
+    def judge(cells):  # rows u, P, N and cost at u, then the same at v in reverse order
         threshold = least - ZOOM_RTOL * max(abs(least), tiny)
-        slopes = np.maximum(cells[3:5] * up - cells[7:9] * down, tiny)  # the greatest rise and fall, / scale
+        slopes = np.maximum(cells[1:3] * up - cells[5:7] * down, tiny)  # the greatest rise and fall, / scale
         if params.acquisition_cost < tiny:  # N's rounding at v and at u, past J
             slopes += np.divide(2.0**-1071, np.minimum(cells[[-1, 0]], 1.0), out=np.zeros_like(slopes), where=cells[0] > junction)
         # The line from u stays above the threshold up to (h(u) - threshold) / (scale fall) past u, the
         # one from v as far short of v: where the two spans cover the cell, the cost stays above it.
-        spans = ((np.fmin(cells[5:7], sys.float_info.max) - threshold) / slopes[::-1]).sum(axis=0)
+        spans = ((np.fmin(cells[3:5], sys.float_info.max) - threshold) / slopes[::-1]).sum(axis=0)
         split = spans < math.expm1(params.interest_rate) / params.interest_rate * (cells[-1] - cells[0])
-        if params.acquisition_cost < tiny:
-            split &= cost_of_pieces(params, cells[10], cells[2]) * _BOUND_SLACK[1] <= threshold
         return split, split
 
     def grow(parts):
@@ -375,12 +373,12 @@ def _refine(params, ages):
             with np.errstate(divide="ignore", invalid="ignore"):  # log 0 is -inf, unused
                 inner = np.where((u > 0.0) & (v > 2.0 * u), np.exp(np.log(u) + (np.log(v) - np.log(u)) * fractions), inner)
         inner = inner.ravel()
-        d, i, h, pos, neg = cost_and_slope_pieces(params, inner)
+        h, pos, neg = cost_and_slope_pieces(params, inner)
         if h.min(initial=math.inf) < least:
             least, best = h.min(), inner[h.argmin()]
-        return parts, (inner, d, i, pos, neg, h)
+        return parts, (inner, pos, neg, h)
 
-    _branch_and_bound(_pairs(np.array([ages, d, i, pos, neg, h])), judge, grow)
+    _branch_and_bound(_pairs(np.array([ages, pos, neg, h])), judge, grow)
     return float(best), float(least)
 
 
@@ -399,6 +397,11 @@ def check_against_search(params: AssetParams, result) -> str | None:
     one grid spacing.  A plateau that reaches inf contains every claimed
     optimum past its start, and agrees with a claimed interval that ends in
     the scan's last cell.
+
+    The case label is not checked: a value check cannot tell C1 from C4_1,
+    which both claim age 0, nor C4_3 from C5, which both claim the interior
+    age, and it tests neither C4_1's interior local minimum nor C1's claim
+    that the cost has none.
     """
     # Below the least normal double the cost model rounds by a few subnormal
     # ulp, far inside the band.

@@ -214,7 +214,7 @@ def test_derivative_sign_where_a_and_b_r_lie_an_ulp_apart(p, u):
     t = u * p.junction
     gap = p.maint_slope - p.depreciation_rate * p.interest_rate
     assert abs(gap) == math.ulp(p.maint_slope)
-    rising, falling = cost_and_slope_pieces(p, np.array([t]))[3:]
+    rising, falling = cost_and_slope_pieces(p, np.array([t]))[1:]
     assert rising[0] == falling[0]
     d = property_cost_derivative(p, t)
     assert d != 0.0 and math.copysign(1.0, d) == math.copysign(1.0, gap)
@@ -509,7 +509,7 @@ def test_slope_pieces_are_positive_and_fall_on_each_side_of_the_junction(acquisi
     cut = _GAP_SERIES_BELOW / params.interest_rate
     ages = np.array(sorted({0.0, 5e-324, 1e-315, 1e-300, 1e-6, 5e-4, 0.5, cut * (1.0 - 1e-3), cut * (1.0 + 1e-3),
                             1.5, 2.5, 10.0, 6990.0, 7000.0, 1e5, 1e300, INF}))
-    rising, falling = cost_and_slope_pieces(params, ages)[3:]
+    rising, falling = cost_and_slope_pieces(params, ages)[1:]
     tiny, band = Decimal(sys.float_info.min), Decimal(oracle._SLOPE_SLACK[0] - 1.0)
     for side in (ages <= params.junction, ages > params.junction):
         for piece, k in ((rising, 0), (falling, 1)):
@@ -526,6 +526,6 @@ def test_the_derivative_is_scale_times_the_slope_pieces():
     # One formula serves the slope and the search's monotone test.
     params = INSTANCE_C4_3
     ages = np.array([1e-3, 0.5, 1.9, 2.1, 10.0, 100.0])
-    rising, falling = cost_and_slope_pieces(params, ages)[3:]
+    rising, falling = cost_and_slope_pieces(params, ages)[1:]
     scale = math.expm1(params.interest_rate) / params.interest_rate
     assert property_cost_derivative(params, ages).tobytes() == ((rising - falling) * scale).tobytes()

@@ -445,7 +445,7 @@ def recording_refinements(monkeypatch):
     return refine, refined
 
 
-def test_zoom_refines_each_bracket_as_if_it_were_alone(monkeypatch):
+def test_the_refinement_refines_each_bracket_as_if_it_were_alone(monkeypatch):
     # Each of two tied basins is refined by its own values only, bit for
     # bit as if it were the only bracket, and the report holds each one's
     # least point and value.
@@ -461,7 +461,7 @@ def test_zoom_refines_each_bracket_as_if_it_were_alone(monkeypatch):
         assert report.min_value == min(value for _, (_, value) in refined)
 
 
-def test_the_zoom_skips_only_brackets_that_cannot_tie(monkeypatch):
+def test_the_refinement_skips_only_brackets_that_cannot_tie(monkeypatch):
     # Of the candidate brackets (around each strict local minimum of the
     # scan's values and its argmin, and from age 0) the search refines only
     # those whose lower cost bound reaches the tie threshold.  Each one it
@@ -623,7 +623,7 @@ def test_the_grid_runs_from_zero_to_inf():
     assert np.all(np.diff(grid) > 0.0)
 
 
-def test_age_inf_opens_no_zoom_bracket(monkeypatch):
+def test_age_inf_opens_no_refinement_bracket(monkeypatch):
     # Where the cost's least grid value is h(inf), as for the optimum at
     # 5.1e81 y, the last grid index, age inf, is the grid's argmin.  Its cost
     # is the grid's own value there, so no bracket starts from it, nor
@@ -693,7 +693,7 @@ RISING_FROM_AGE_0 = oracle.MinimizationReport(
 
 
 @pytest.mark.parametrize("params", [INSTANCE_C1, INSTANCE_C4_1], ids=["C1", "C4_1"])
-def test_a_rise_from_age_0_closes_after_one_zoom_evaluation(monkeypatch, params):
+def test_a_rise_from_age_0_closes_after_one_refinement_evaluation(monkeypatch, params):
     # The cost rises from age 0 and the slope's pieces at the bracket's two
     # ends, 0 and 1e-3 y, show it rising on all of it: the bracket closes at
     # age 0 in its first evaluation, which reads only those two ages, and
@@ -773,17 +773,22 @@ def test_a_bracket_that_holds_the_junction_is_cut_there(monkeypatch, params, eva
         AssetParams(1e-310, 1.0, 1.0, 1.0),
         AssetParams(1e-315, 1e-290, 1e-5, 1.0),
         AssetParams(5e-324, 1e-300, 1.0, 0.5),
+        AssetParams(1e-300, 1.0, 1e5, 1.0),
+        AssetParams(1e-300, 1e-10, 1e5, 1e-3),
     ],
-    ids=["least_A", "subnormal_A", "subnormal_A_and_tiny_a", "subnormal_cost"],
+    ids=["least_A", "subnormal_A", "subnormal_A_and_tiny_a", "subnormal_cost", "overflowing_N",
+         "overflowing_N_and_tiny_a"],
 )
 def test_a_subnormal_acquisition_cost_is_refined_in_few_evaluations(monkeypatch, params):
     # At a subnormal A the capital piece D = (A/t) p past the junction turns
     # subnormal from A/t < 2^-1022 on, and N = D (r + p/t) then rounds by
-    # far more than _SLOPE_SLACK: the slope bounds take that on, the pieces'
-    # bound closes the cells near the junction, where N overflows, and a
-    # cell closes within ZOOM_RTOL of the least normal double where the
-    # least cost is subnormal.  The optimum near sqrt(2 A/a) closes by the
-    # slope bound in a few evaluations, as at a normal A.
+    # far more than _SLOPE_SLACK: the slope bounds take that on, and a cell
+    # closes within ZOOM_RTOL of the least normal double where the least
+    # cost is subnormal.  At A = 1e-300, normal, the junction lies at
+    # 1e-305 y, and N, about b^2/A, overflows just past it: a cell there has
+    # no finite bound on its fall, and the line from its high end, with the
+    # bound on its rise, closes it.  The optimum near sqrt(2 A/a) closes by
+    # the slope bound in a few evaluations, as at a moderate A.
     _, after = counting_evaluations(monkeypatch)
     if params.maint_slope >= 1e-290:
         result = economic_life(params)
@@ -795,6 +800,23 @@ def test_a_subnormal_acquisition_cost_is_refined_in_few_evaluations(monkeypatch,
     assert point == pytest.approx(math.sqrt(2.0 * params.acquisition_cost / params.maint_slope), rel=1e-3)
     dense = property_cost(params, point * (1.0 + np.linspace(-1e-3, 1e-3, 2001)))
     assert report.min_value <= dense.min()
+
+
+def test_the_refinement_work_is_bounded_at_a_subnormal_acquisition_cost(monkeypatch):
+    # A log-uniform over the subnormal doubles and the least normal decade,
+    # a and b over +-300 decades in odd rows and +-20 in even ones, the rate
+    # over [1e-300, 1] but [1e-3, 1] in every third row: each search refines
+    # in the bounds of the test above.
+    _, after = counting_evaluations(monkeypatch)
+    rng = np.random.default_rng(11)
+    for k in range(300):
+        A = float(10.0 ** rng.uniform(-323.5, -307.5))
+        span = 300.0 if k % 2 else 20.0
+        a, b = (10.0 ** rng.uniform(-span, span, 2)).tolist()
+        r = float(10.0 ** (rng.uniform(-3.0, 0.0) if k % 3 == 0 else rng.uniform(-300.0, 0.0)))
+        params = AssetParams(A, a, b, r)
+        brute_force_minimize(params)
+        assert len(after) <= 10 and sum(after) <= 1000, params
 
 
 @pytest.mark.parametrize("params", [INSTANCE_C4_3, EXACT_TIE, CLOSE_TIES[0][0]])
@@ -835,7 +857,7 @@ WRONG_BY_MORE_THAN_VALUE_RTOL = [
 
 @pytest.mark.parametrize("case, error, params", WRONG_BY_MORE_THAN_VALUE_RTOL)
 def test_a_cost_wrong_past_value_rtol_is_a_mismatch(case, error, params):
-    # The zoom closes within ZOOM_RTOL, so the search's least value is sharp
+    # The refinement closes within ZOOM_RTOL, so the search's least value is sharp
     # enough to refute a min_cost wrong by more than VALUE_RTOL = 1e-13.
     result = economic_life(params)
     assert result.case.value == case
