@@ -187,6 +187,11 @@ def interior_minimum_age(params: AssetParams) -> float:
     itself).  It is a genuine local minimum (and lies beyond the
     full-depreciation age) exactly when maint_slope < slope_threshold.
     Raises ValueError when the cost ratio A r^2 / a leaves the float range.
+
+    Its condition number in the cost ratio c is c / (tau (1 - e^-tau)),
+    with tau = rate * age: a relative error e in c moves the age by about
+    that times e.  It rises from 1/2 as c tends to 0 to 1 as c grows, so
+    the age is never worse conditioned than c itself.
     """
     r = params.interest_rate
     return _scaled_interior_age(params.acquisition_cost * r * r / params.maint_slope) / r
@@ -201,6 +206,10 @@ def slope_threshold(params: AssetParams) -> float:
     b r x / gap(x) = b r / gap_ratio(x), with b = depreciation_rate,
     r = interest_rate and x = r * junction, and never below b r, also after
     rounding; it tends to 2 b^2 / A as x tends to 0.
+
+    Its condition number in x is x (1 - e^-x) / gap(x) - 1: a relative
+    error e in x moves the threshold by about that times e, the other way.
+    It falls from 1 as x tends to 0 to 0 as x grows.
     """
     b = params.depreciation_rate
     r = params.interest_rate

@@ -236,7 +236,7 @@ def _fleet_row(fields: list[str], seen_ids: set[str], verify: bool) -> list[str]
 
 def _cmd_fleet(args) -> int:
     try:
-        with open(args.input, newline="", encoding="utf-8") as handle:
+        with open(args.input, newline="", encoding="utf-8-sig") as handle:  # a spreadsheet's "CSV UTF-8" starts with a BOM
             rows = list(csv.reader(handle))
     except OSError as exc:
         raise ValueError(f"cannot read {args.input!r}: {exc}") from None

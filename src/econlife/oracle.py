@@ -13,11 +13,13 @@ apart up to 10 years, then spaced a 10,000th of their age, so its last
 point, index ``_LAST`` near 7.1e6, lies at age inf, where the cost's pieces
 take their limits D = 0 and I = a/r.  Every grid cell, the last one too, is
 bounded from the pieces at its ends, so the scan decides on the whole
-domain.  The grid brackets that can tie are then refined, as cells bounded
-by the slope, until each one's least value lies within ``ZOOM_RTOL`` of a
-lower bound of its cost.  A check gives one of three verdicts: None
-(agreement), a description of the discrepancy, or, when the scan would pass
-its point budget, a message starting "verification inconclusive:".
+domain.  Every candidate grid bracket is then refined, as cells bounded by
+the slope, until its cost lies above the scan's tie threshold (a bracket
+that cannot tie closes at once) or its least value lies within
+``ZOOM_RTOL`` of a lower bound of its cost.  A check gives one of three
+verdicts: None (agreement), a description of the discrepancy, or, when the
+scan would pass its point budget, a message starting "verification
+inconclusive:".
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ _LINEAR_END = 10_000
 _LOG_RATIO = math.log1p(1.0 / _LINEAR_END)
 _LAST = _LINEAR_END + math.ceil(math.log(np.finfo(float).max / (_LINEAR_END * GRID_STEP)) / _LOG_RATIO)
 # Factors widening ``cost_of_pieces`` into the upper and lower cost bound of
-# a cell or candidate bracket: they cover the pieces' rounding.
+# a scan cell: they cover the pieces' rounding.
 _BOUND_SLACK = _read_only(1.0 + np.array([[64.0], [-64.0]]) * np.finfo(float).eps)
 # Factors widening a slope piece of ``cost_and_slope_pieces`` into bounds of
 # its exact value, where the piece and A are normal.  Error budget in eps = 2^-52:
@@ -98,8 +100,8 @@ class MinimizationReport:
     larger age.  Every reported point attains min_value to within the tie
     tolerance.  tail_start is the last age the scan evaluated short of inf:
     past it the scan bounds the cost as one cell and cannot tell its ages
-    apart.  refinements is the number of brackets refined: the candidate
-    basins whose bracket's lower cost bound reaches the tie threshold.
+    apart.  refinements is the number of candidate brackets, each of them
+    refined: one that cannot tie closes in its first evaluation.
     """
 
     argmin_points: tuple[float, ...]
@@ -121,19 +123,26 @@ class ScanGaveUp(NumericError):
 def brute_force_minimize(params: AssetParams) -> MinimizationReport:
     """Locate all global minimizers of the ownership cost on [0, inf].
 
-    Scans the whole grid once, by branch and bound (``_scan``).  Of the
-    candidate basins (grid local minima and age 0) it refines those whose
-    bracket's lower cost bound, from the scan's pieces, reaches the tie
-    threshold of the least grid value: each on its own, by the same branch
-    and bound on continuous ages (``_refine``), until the least value found
-    in it lies within ``ZOOM_RTOL`` of a lower bound of its cost.  It
-    keeps the basins whose refined values tie the best one within
-    ``TIE_RTOL``, and reports the number of brackets refined as
-    ``refinements`` (0 where none can tie).  Runs of >= 3 grid points
-    value-tied with the minimum are reported as a plateau: there the cost is
-    flat at rounding level and no value comparison can single out a point.
-    A run that reaches the last grid point ends at inf.  Raises
-    ``ScanGaveUp`` when the scan gives up.
+    Scans the whole grid once, by branch and bound (``_scan``).  It refines
+    every candidate basin (each strict local minimum of evaluated grid
+    neighbours, the grid's argmin, and age 0 where its evaluated
+    neighbour does not fall below it), each on its own, by the same branch
+    and bound on continuous ages (``_refine``), under the tie threshold of
+    the least grid value as a ceiling: a bracket that cannot tie closes in
+    its first evaluation, and the others once the least value found in them
+    lies within ``ZOOM_RTOL`` of a lower bound of their cost.  It keeps the
+    basins whose refined values tie the best one within ``TIE_RTOL``, and
+    reports the number of candidate brackets as ``refinements`` (0 where
+    the argmin is age inf and no grid point is a basin).  Runs of >= 3
+    grid points value-tied with the minimum are reported as a plateau: there
+    the cost is flat at rounding level and no value comparison can single
+    out a point.  A run that reaches the last grid point ends at inf.  Age 0
+    whose neighbour the scan did not evaluate opens no bracket: the scan
+    dropped the first cell, so age 0 cannot tie, or kept it whole, so age 0
+    starts a tied run of >= 3 points.  A run the scan kept whole holds no
+    strict local minimum, so unless it is the longest (the plateau) or holds
+    the least grid value it is not reported, whether or not it starts at
+    age 0.  Raises ``ScanGaveUp`` when the scan gives up.
     """
     return _search(params, ())[0]
 
@@ -143,26 +152,20 @@ def _search(params, claimed):
     """``brute_force_minimize``'s report, and the costs at the ``claimed`` ages,
     priced in the scan's first evaluation but not counted as scanned."""
     first = cost_pieces(params, np.concatenate((_FIRST_AGES, claimed)) if claimed else _FIRST_AGES)
-    indices, values, h_min, d, i = _scan(params, first)
+    indices, values, h_min = _scan(params, first)
     threshold = h_min + TIE_RTOL * abs(h_min)
     argmin_index = int(indices[np.argmin(values)])
     start, end = max(_tied_runs(indices, values <= threshold), key=lambda run: run[1] - run[0])
     # Age inf opens no bracket: its cost h(inf) is the grid's last value.
     basins = np.array(sorted((set(_basins(indices, values)) | {argmin_index}) - {_LAST}), dtype=np.int64)
-    below, above = np.maximum(basins - 1, 0), np.minimum(basins + 1, _LAST - 1)
-    # Refine only the brackets [below, above] that can tie.  D at the first
-    # evaluated index from `above` on and I at the last one up to `below`
-    # bound their costs from below, as a scan cell's ends do, and the
-    # threshold is at least the final tie band.
-    pieces = d[np.searchsorted(indices, above)], i[np.searchsorted(indices, below, "right") - 1]
-    reach = cost_of_pieces(params, *pieces) * _BOUND_SLACK[1] <= threshold
-    refined = int(reach.sum())
+    refined = basins.size
     # The brackets' low ends, basins and high ends, then the plateau's ends, the argmin and tail_start.
-    ages = _ages(np.concatenate((below[reach], basins[reach], above[reach], [start, end, argmin_index, indices[-2]])))
+    below, above = np.maximum(basins - 1, 0), np.minimum(basins + 1, _LAST - 1)
+    ages = _ages(np.concatenate((below, basins, above, [start, end, argmin_index, indices[-2]])))
     lows, highs = ages[:refined], ages[2 * refined : -4]
     start_age, end_age, argmin_age, tail_start = ages[-4:].tolist()
     plateau = (start_age, end_age) if end - start + 1 >= PLATEAU_MIN_POINTS else None
-    locations, values = np.array([_refine(params, ages[k::refined][:3]) for k in range(refined)]).reshape(-1, 2).T
+    locations, values = np.array([_refine(params, ages[k::refined][:3], threshold) for k in range(refined)]).reshape(-1, 2).T
 
     best_value = min(float(values.min(initial=math.inf)), h_min)
     tie_band = best_value + TIE_RTOL * abs(best_value)
@@ -269,14 +272,12 @@ def _scan(params, first=None):
     evaluation it fills in the other cells of at most ``_SPLIT`` indices and
     splits the rest ``_SPLIT`` ways.  Raises ``ScanGaveUp`` past
     ``GRID_BUDGET`` points, the first evaluation's included.  Returns the
-    evaluated indices in increasing order, their costs, the least value,
-    and the pieces D and I at those indices, from which
-    ``brute_force_minimize`` bounds each candidate bracket: it refines only
-    those that can tie.  ``first`` is ``cost_pieces`` at ``_FIRST_AGES`` and
-    then at ages the scan ignores.
+    evaluated indices in increasing order, their costs and the least value.
+    ``first`` is ``cost_pieces`` at ``_FIRST_AGES`` and then at ages the
+    scan ignores.
     """
     d, i, h = (piece[: _FIRST_AGES.size] for piece in first or cost_pieces(params, _FIRST_AGES))
-    found = [(_FIRST_INDICES, d, i, h)]  # each evaluation's indices, pieces and costs
+    found = [(_FIRST_INDICES, h)]  # each evaluation's indices and costs
     h_min, evaluated = float(h.min()), _FIRST_INDICES.size
 
     def judge(cells):
@@ -296,22 +297,23 @@ def _scan(params, first=None):
         if evaluated > GRID_BUDGET:
             raise ScanGaveUp(f"the scan needs more than {GRID_BUDGET} cost evaluations", h_min)
         d, i, h = cost_pieces(params, _ages(new))
-        found.append((new, d, i, h))
+        found.append((new, h))
         h_min = min(h_min, float(h.min(initial=math.inf)))
         return cut, (new[inside.size :], d[inside.size :], i[inside.size :])
 
     _branch_and_bound(_pairs(np.array([_FIRST_INDICES, d, i], dtype=float)), judge, grow)
-    indices, d, i, values = map(np.concatenate, zip(*found))
+    indices, values = map(np.concatenate, zip(*found))
     order = np.argsort(indices)
-    return indices[order].astype(np.int64), values[order], h_min, d[order], i[order]
+    return indices[order].astype(np.int64), values[order], h_min
 
 
 def _basins(indices, values):
-    """The strict local minima of evaluated neighbours, and age 0."""
+    """The strict local minima of evaluated neighbours, and age 0 where its
+    neighbour was evaluated and does not fall below it."""
     adjacent = np.diff(indices) == 1
     falls, rises = values[1:] < values[:-1], values[1:] > values[:-1]
     strict = (adjacent[:-1] & adjacent[1:] & falls[:-1] & rises[1:]).nonzero()[0] + 1
-    return indices[strict].tolist() + ([] if adjacent[0] and falls[0] else [0])
+    return indices[strict].tolist() + ([0] if adjacent[0] and not falls[0] else [])
 
 
 def _tied_runs(indices, tied):
@@ -325,10 +327,11 @@ def _tied_runs(indices, tied):
     return list(zip(indices[edges[::2]].tolist(), indices[edges[1::2] - 1].tolist()))
 
 
-def _refine(params, ages):
+def _refine(params, ages, ceiling):
     """The least cost found in a bracket, and its age.
 
-    ``ages`` holds the bracket's low end, its basin and its high end.  The
+    ``ages`` holds the bracket's low end, its basin and its high end, and
+    ``ceiling`` is a tie threshold: no cost above it matters.  The
     first evaluation reads those ages and, where the bracket spans the
     full-depreciation age J, J and the double after it; the cell between
     those two holds no other double.  On a cell [u, v] on one side of J, the
@@ -337,10 +340,11 @@ def _refine(params, ages):
     ``_SLOPE_SLACK``, the two bounds by the least normal double).  So the
     cost lies above the line from (u, h(u)) with the least slope and the one
     from (v, h(v)) with the greatest, and a cell closes once those lines stay
-    within ``ZOOM_RTOL`` of the least value found in the bracket (of the
-    least normal double where that value is subnormal) across it: at once
-    where the slope has one sign, and else once the cell is narrow enough,
-    since their gap shrinks with the square of its width.  Where A is
+    above ``ceiling`` or within ``ZOOM_RTOL`` of the least value found in the
+    bracket (of the least normal double where that value is subnormal)
+    across it: at once where the slope has one sign or the cost lies far
+    above the ceiling, and else once the cell is narrow enough, since their
+    gap shrinks with the square of its width.  Where A is
     subnormal, D past J can be too, and N then rounds by up to
     2^-1072 (1 + 1/t) absolute: the slope bounds take that on.
     ``_branch_and_bound`` splits the other cells ``_SPLIT`` ways,
@@ -354,7 +358,7 @@ def _refine(params, ages):
     least, best = h.min(), ages[h.argmin()]
 
     def judge(cells):  # rows u, P, N and cost at u, then the same at v in reverse order
-        threshold = least - ZOOM_RTOL * max(abs(least), tiny)
+        threshold = min(least - ZOOM_RTOL * max(abs(least), tiny), ceiling)
         slopes = np.maximum(cells[1:3] * up - cells[5:7] * down, tiny)  # the greatest rise and fall, / scale
         if params.acquisition_cost < tiny:  # N's rounding at v and at u, past J
             slopes += np.divide(2.0**-1071, np.minimum(cells[[-1, 0]], 1.0), out=np.zeros_like(slopes), where=cells[0] > junction)

@@ -15,6 +15,7 @@ from econlife.cli import _build_parser, main
 from econlife.errors import NumericError
 
 ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 
 C4_3_FLAGS = ["--acquisition", "40", "--maint-slope", "5", "--depreciation", "20", "--rate", "0.1"]
 C1_FLAGS = ["--acquisition", "100", "--maint-slope", "10", "--depreciation", "20", "--rate", "0.1"]
@@ -340,6 +341,27 @@ def test_fleet_golden(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "fleet", "--input", str(path))
     assert code == 0
     assert out == FLEET_OUTPUT
+
+
+def test_fleet_reads_a_csv_saved_with_a_byte_order_mark(tmp_path, capsys):
+    # Spreadsheets save "CSV UTF-8" with a byte-order mark before the header;
+    # it once made the header malformed.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(FLEET_INPUT, encoding="utf-8")
+    marked.write_text(FLEET_INPUT, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbfid,")
+    outputs = [run_cli(capsys, "fleet", "--input", str(path)) for path in (plain, marked)]
+    assert outputs[0] == outputs[1] == (0, FLEET_OUTPUT, "")
+
+
+def test_fleet_verify_golden(capsys):
+    # tests/data holds the rows that bench/gen.py's verify_inputs draws for
+    # seeds 1-3, each id prefixed by its seed, and their fleet --verify
+    # output, in which every row agrees with the search.  A change to the
+    # search keeps these bytes.
+    code, out, err = run_cli(capsys, "fleet", "--input", str(DATA / "verify_rows.csv"), "--verify")
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "verify_rows.fleet.csv").read_bytes()
 
 
 def test_fleet_row_with_vanishing_full_depreciation_age(tmp_path, capsys):

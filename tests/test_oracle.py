@@ -388,12 +388,10 @@ def test_scan_is_split_invariant(monkeypatch, params, tied_tail):
     monkeypatch.setattr(oracle, "_scan", scanning)
     reports = []
     for split in (2, 7, whole):
-        indices, scanned, least, d, i = oracle._scan(params)
+        indices, scanned, least = oracle._scan(params)
         assert least == h_min
         assert np.array_equal(indices, np.unique(indices))
         assert np.array_equal(scanned, values[np.minimum(indices, hold)])
-        pieces = cost_pieces(params, oracle._ages(indices))
-        assert d.tobytes() == pieces[0].tobytes() and i.tobytes() == pieces[1].tobytes()
         assert oracle._tied_runs(indices, scanned <= threshold) == whole_grid_runs
         reports.append(brute_force_minimize(params))
         assert (reports[-1].plateau is not None and reports[-1].plateau[1] == math.inf) == tied_tail
@@ -408,8 +406,7 @@ def test_scan_is_split_invariant(monkeypatch, params, tied_tail):
 def test_the_scan_finishes_on_a_budget_of_exactly_its_points(monkeypatch, params):
     # GRID_BUDGET bounds the points of all the scan's cost evaluations
     # together: a budget of exactly that many lets it finish, one fewer
-    # stops it before the evaluation that would pass the budget.  The pieces
-    # it returns are those of ``cost_pieces`` at its indices, bit for bit.
+    # stops it before the evaluation that would pass the budget.
     sizes = []
 
     def counting_pieces(p, ages):
@@ -418,11 +415,9 @@ def test_the_scan_finishes_on_a_budget_of_exactly_its_points(monkeypatch, params
 
     monkeypatch.setattr(oracle, "cost_pieces", counting_pieces)
     scan = oracle._scan(params)
-    indices, values, least, d, i = scan
+    indices, values, least = scan
     calls = sizes.copy()
     assert len(calls) > 2 and sum(calls) == indices.size
-    pieces = cost_pieces(params, oracle._ages(indices))
-    assert d.tobytes() == pieces[0].tobytes() and i.tobytes() == pieces[1].tobytes()
     monkeypatch.setattr(oracle, "GRID_BUDGET", indices.size)
     again = oracle._scan(params)
     assert again[2] == least and all(np.array_equal(a, b) for a, b in zip(again, scan))
@@ -434,12 +429,12 @@ def test_the_scan_finishes_on_a_budget_of_exactly_its_points(monkeypatch, params
 
 
 def recording_refinements(monkeypatch):
-    """The (ages, result) of every bracket the search refines, as it refines them."""
+    """The (ages, ceiling, result) of every bracket the search refines, as it refines them."""
     refine, refined = oracle._refine, []
 
-    def recording(params, ages):
-        refined.append((ages.copy(), refine(params, ages)))
-        return refined[-1][1]
+    def recording(params, ages, ceiling):
+        refined.append((ages.copy(), ceiling, refine(params, ages, ceiling)))
+        return refined[-1][2]
 
     monkeypatch.setattr(oracle, "_refine", recording)
     return refine, refined
@@ -454,39 +449,73 @@ def test_the_refinement_refines_each_bracket_as_if_it_were_alone(monkeypatch):
         refined.clear()
         report = brute_force_minimize(params)
         assert len(refined) == report.refinements == len(report.argmin_points) == 2
-        for (ages, together), point in zip(refined, report.argmin_points):
-            alone = refine(params, ages.copy())
+        for (ages, ceiling, together), point in zip(refined, report.argmin_points):
+            alone = refine(params, ages.copy(), ceiling)
             assert np.array([alone]).tobytes() == np.array([together]).tobytes()
             assert together[0] == point
-        assert report.min_value == min(value for _, (_, value) in refined)
+        assert report.min_value == min(value for _, _, (_, value) in refined)
 
 
-def test_the_refinement_skips_only_brackets_that_cannot_tie(monkeypatch):
-    # Of the candidate brackets (around each strict local minimum of the
-    # scan's values and its argmin, and from age 0) the search refines only
-    # those whose lower cost bound reaches the tie threshold.  Each one it
-    # skips, refined alone, stays above the report's tie band, and
-    # refinements counts the brackets refined.
+# Rows with a candidate bracket that cannot tie: age 0, whose grid
+# neighbour does not fall below it, 8% above the interior optimum, and an
+# interior local minimum of the grid 2% above the global one.
+CANNOT_TIE = [
+    AssetParams(0.5519844334705131, 135192.20457280896, 417.42873173390933, 0.026181244508153345),
+    AssetParams(0.00026552776730340885, 8.932485043194657, 0.06756032161172705, 0.03807376278257659),
+]
+
+
+def test_the_refinement_refines_every_candidate_bracket(monkeypatch):
+    # The candidate brackets lie around each strict local minimum of the
+    # scan's values and its argmin, and from age 0 where its evaluated
+    # neighbour does not fall below it.  The search refines each of them
+    # under the scan's tie threshold, and refinements counts them.  One that
+    # cannot tie closes in its first evaluation, stays above the report's
+    # tie band even when refined with no ceiling, and is not reported.
     refine, refined = recording_refinements(monkeypatch)
+    evaluations = []
+
+    def counting(params, ages):
+        evaluations.append(len(refined))  # the index of the bracket being refined
+        return cost_and_slope_pieces(params, ages)
+
+    monkeypatch.setattr(oracle, "cost_and_slope_pieces", counting)
     rng = np.random.default_rng(20261019)
     instances = [INSTANCE_C1, INSTANCE_C4_1, INSTANCE_C4_3, INSTANCE_C5, INSTANCE_FLAT, EXACT_TIE,
                  FAR_TIED_TAIL, AssetParams(100.0, 1.6, 2.0, 0.8), AssetParams(1e6, 1.0, 1.0, 1.0)]
-    skipped = 0
-    for p in instances + [draw_params(rng) for _ in range(200)]:
+    cannot_tie = 0
+    for p in CANNOT_TIE + instances + [draw_params(rng) for _ in range(200)]:
         refined.clear()
+        evaluations.clear()
         report = brute_force_minimize(p)
-        assert report.refinements == len(refined)
-        indices, values = oracle._scan(p)[:2]
+        indices, values, least = oracle._scan(p)
         basins = set(oracle._basins(indices, values)) | {int(indices[np.argmin(values)])}
         candidates = np.array(sorted(basins - {oracle._LAST}))
         grid = np.stack((np.maximum(candidates - 1, 0), candidates, np.minimum(candidates + 1, oracle._LAST - 1)), axis=1)
-        brackets = {tuple(ages) for ages in oracle._ages(grid).tolist()}
-        assert {tuple(ages.tolist()) for ages, _ in refined} <= brackets
+        assert [ages.tolist() for ages, _, _ in refined] == oracle._ages(grid).tolist()
+        assert report.refinements == len(refined)
+        assert all(ceiling == least + oracle.TIE_RTOL * abs(least) for _, ceiling, _ in refined)
         tie_band = report.min_value + oracle.TIE_RTOL * abs(report.min_value)
-        for ages in brackets - {tuple(ages.tolist()) for ages, _ in refined}:
-            skipped += 1
-            assert refine(p, np.array(ages))[1] > tie_band, (p, ages)
-    assert skipped > 100
+        for k, (ages, _, (_, value)) in enumerate(refined):
+            if value <= tie_band:
+                continue
+            cannot_tie += 1
+            assert evaluations.count(k) == 1, (p, ages)
+            assert refine(p, ages.copy(), math.inf)[1] > tie_band, (p, ages)
+            assert (ages[0], ages[-1]) not in report.brackets
+    assert cannot_tie >= len(CANNOT_TIE)
+
+
+def test_age_0_is_a_candidate_only_where_its_evaluated_neighbour_does_not_fall():
+    # INSTANCE_C5's cost falls from age 0 to its optimum at 18.4 y, far
+    # below: the scan drops the first cell, so it never evaluates age 0's
+    # neighbour, and age 0 opens no bracket.  INSTANCE_C1's cost rises from
+    # age 0, its minimum, and the scan fills the first cell in.
+    for params, candidate in ((INSTANCE_C5, False), (INSTANCE_C1, True)):
+        indices, values, _ = oracle._scan(params)
+        assert (indices[1] == 1) == candidate
+        assert (0 in oracle._basins(indices, values)) == candidate
+        assert (brute_force_minimize(params).brackets[0][0] == 0.0) == candidate
 
 
 @pytest.mark.parametrize(
@@ -634,7 +663,7 @@ def test_age_inf_opens_no_refinement_bracket(monkeypatch):
     for p in (INSTANCE_C1, INSTANCE_C5, FAR_TIED_TAIL, AssetParams(1e6, 1.0, 1.0, 1.0)):
         brute_force_minimize(p)
     last_finite = oracle._ages(np.array(oracle._LAST - 1))
-    assert refined and all(ages[0] < last_finite and ages[-1] <= last_finite for ages, _ in refined)
+    assert refined and all(ages[0] < last_finite and ages[-1] <= last_finite for ages, _, _ in refined)
 
 
 def test_the_first_evaluation_splits_both_finite_first_cells(monkeypatch):
@@ -720,7 +749,7 @@ def test_a_cell_whose_slope_may_take_either_sign_does_not_close(monkeypatch):
                                  (INSTANCE_FLAT, [0.0, 0.0, 1e-3], False), (INSTANCE_FLAT, [1.0, 1.5, 2.0], False),
                                  (INSTANCE_C5, [1.0, 1.0005, 1.001], True), (INSTANCE_C1, [1.0, 1.0005, 1.001], True)):
         after.clear()
-        age, value = oracle._refine(params, np.array(ages))
+        age, value = oracle._refine(params, np.array(ages), math.inf)
         assert (len(after) == 1) == closes, (params, ages)
         assert age == (ages[-1] if params is INSTANCE_C5 else ages[0]) or not closes
     # The reports, pinned: their least values lie within ZOOM_RTOL of those
