@@ -144,8 +144,9 @@ def cost_of_pieces(params: AssetParams, capital, maintenance):
 
 
 def cost_and_slope_pieces(params: AssetParams, ages):
-    """The cost h and the rising and falling parts P and N of its slope at
-    flat ``ages``, from one pass of the kernel: h, P and N.
+    """The pieces D and I of ``cost_pieces``, the rising and falling parts P
+    and N of the cost's slope, and the cost h at flat ``ages``, in that
+    order, from one pass of the kernel.
 
     The slope is scale (P - N).  With q' = dq/dx = p (1 - q/x), positive and
     falling from 1/2 at x = 0, P = a q', and N = b r q' up to the junction
@@ -158,15 +159,15 @@ def cost_and_slope_pieces(params: AssetParams, ages):
     where the kernel holds x, q' is held too.
     """
     d, p, m, g = _kernel(params, ages, slopes=True)
-    g -= 1.0
-    g *= -p  # q' = p (1 - q/x)
+    np.subtract(1.0, g, out=g)
+    g *= p  # q' = p (1 - q/x)
     rising = params.maint_slope * g
     g *= params.depreciation_rate * params.interest_rate
-    past = (ages > params.junction).nonzero()[0]  # where D = (A/t) p
-    if past.size:
-        p = p[past]
-        g[past] = d[past] * (params.interest_rate + p / ages[past])
-    return cost_of_pieces(params, d, m), rising, g
+    past = ages > params.junction  # where D = (A/t) p
+    np.divide(p, ages, out=p, where=past)
+    p += params.interest_rate
+    np.multiply(d, p, out=g, where=past)
+    return d, m, rising, g, cost_of_pieces(params, d, m)
 
 
 def _capital_and_maintenance(params: AssetParams, ages):
@@ -241,7 +242,7 @@ def property_cost_derivative(params: AssetParams, t):
                 "derivative is one-sided at the full-depreciation age "
                 f"junction = {params.junction!r}"
             )
-        rising, falling = cost_and_slope_pieces(params, ages)[1:]
+        rising, falling = cost_and_slope_pieces(params, ages)[2:4]
         tied = ((rising == falling) & (ages < params.junction)).nonzero()[0]
         rising -= falling
         a, r = params.maint_slope, params.interest_rate
